@@ -6,10 +6,8 @@
 package repro_test
 
 import (
-	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -17,7 +15,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/features"
 	"repro/internal/nn"
-	"repro/internal/serve"
 	"repro/internal/tensor"
 	"repro/internal/wemac"
 )
@@ -269,82 +266,5 @@ func BenchmarkColdStartFraction(b *testing.B) {
 		if a.Cluster < 0 {
 			b.Fatal("bad assignment")
 		}
-	}
-}
-
-// benchServePipe caches one trained pipeline for the serving benchmark.
-var (
-	benchServeOnce sync.Once
-	benchServePipe *core.Pipeline
-)
-
-func benchServeSetup(b *testing.B) *core.Pipeline {
-	b.Helper()
-	users, cfg := benchSetup(b)
-	benchServeOnce.Do(func() {
-		p, err := core.Train(users, cfg)
-		if err != nil {
-			panic(err)
-		}
-		benchServePipe = p
-	})
-	return benchServePipe
-}
-
-// BenchmarkServeThroughput measures the serving layer end to end: every
-// iteration drives a wave of concurrent sessions through enrolment,
-// cold-start assignment, and classified streaming via the batched
-// executor. Reported metrics are sustained window throughput and the p95
-// client-observed per-window latency.
-func BenchmarkServeThroughput(b *testing.B) {
-	pipe := benchServeSetup(b)
-	users, _ := benchSetup(b)
-	srv, err := serve.New(pipe, serve.Config{MaxDelay: 500 * time.Microsecond})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Shutdown()
-
-	var mu sync.Mutex
-	var latencies []float64 // µs per PushWindow
-	windows := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for _, u := range users {
-			wg.Add(1)
-			go func(u *wemac.UserMaps) {
-				defer wg.Done()
-				sess, err := srv.CreateSession(u.ID, len(u.Maps), 0.1)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				local := make([]float64, 0, len(u.Maps))
-				for _, lm := range u.Maps {
-					start := time.Now()
-					if _, err := sess.PushWindow(lm.Map); err != nil {
-						b.Error(err)
-						return
-					}
-					local = append(local, float64(time.Since(start).Microseconds()))
-				}
-				if err := srv.CloseSession(sess.ID()); err != nil {
-					b.Error(err)
-					return
-				}
-				mu.Lock()
-				latencies = append(latencies, local...)
-				windows += len(local)
-				mu.Unlock()
-			}(u)
-		}
-		wg.Wait()
-	}
-	b.StopTimer()
-	if windows > 0 {
-		sort.Float64s(latencies)
-		b.ReportMetric(float64(windows)/b.Elapsed().Seconds(), "windows/s")
-		b.ReportMetric(latencies[int(0.95*float64(len(latencies)-1))], "p95_us")
 	}
 }

@@ -518,9 +518,8 @@ type chaosTally struct {
 }
 
 // loadgenReport is the -json machine-readable mirror of the closed-loop
-// report. It shares the clear-bench conventions (a "schema" discriminator,
-// a "serve" block with windows_per_sec / p50_us-style keys) so one parser
-// handles both artifacts in CI.
+// report: a "schema" discriminator, a "serve" block with windows_per_sec /
+// p50_us-style keys, and per-check SLO verdicts that CI gates on with jq.
 type loadgenReport struct {
 	Schema string `json:"schema"` // "clear-loadgen/1"
 	Meta   struct {
@@ -564,20 +563,20 @@ type loadgenReport struct {
 }
 
 type chaosWindowsReport struct {
-	StoreOutageSec  float64 `json:"store_outage_sec,omitempty"`
-	PartitionSec    float64 `json:"partition_sec,omitempty"`
-	PartitionTarget string  `json:"partition_target,omitempty"`
-	ReplayEnqueued  int64   `json:"replay_enqueued"`
-	ReplayReplayed  int64   `json:"replay_replayed"`
-	ReplayDropped   int64   `json:"replay_dropped"`
-	ReplayQueueFinal int    `json:"replay_queue_final"`
-	PersistFailures int64   `json:"persist_failures"`
-	ShedCreates     int64   `json:"shed_creates"`
-	Failovers       int64   `json:"failovers"`
-	HandedBack      bool    `json:"handed_back"`
-	Sheds503        int64   `json:"sheds_503"`
-	Sheds503NoRA    int64   `json:"sheds_503_no_retry_after"`
-	RecoverySec     float64 `json:"recovery_sec"`
+	StoreOutageSec   float64 `json:"store_outage_sec,omitempty"`
+	PartitionSec     float64 `json:"partition_sec,omitempty"`
+	PartitionTarget  string  `json:"partition_target,omitempty"`
+	ReplayEnqueued   int64   `json:"replay_enqueued"`
+	ReplayReplayed   int64   `json:"replay_replayed"`
+	ReplayDropped    int64   `json:"replay_dropped"`
+	ReplayQueueFinal int     `json:"replay_queue_final"`
+	PersistFailures  int64   `json:"persist_failures"`
+	ShedCreates      int64   `json:"shed_creates"`
+	Failovers        int64   `json:"failovers"`
+	HandedBack       bool    `json:"handed_back"`
+	Sheds503         int64   `json:"sheds_503"`
+	Sheds503NoRA     int64   `json:"sheds_503_no_retry_after"`
+	RecoverySec      float64 `json:"recovery_sec"`
 }
 
 // tracingReport is the -tracesample block of the -json report.
@@ -976,9 +975,9 @@ func main() {
 	var cw *chaosWindowsReport
 	if windowsArmed {
 		cw = &chaosWindowsReport{
-			StoreOutageSec:  storeOutage.Seconds(),
-			PartitionSec:    partitionFor.Seconds(),
-			PartitionTarget: partitionTarget,
+			StoreOutageSec:   storeOutage.Seconds(),
+			PartitionSec:     partitionFor.Seconds(),
+			PartitionTarget:  partitionTarget,
 			ReplayQueueFinal: -1,
 		}
 		recoverStart := time.Now()

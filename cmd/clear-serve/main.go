@@ -8,35 +8,36 @@
 //
 //	clear-serve [-addr :8080] [-profile fast|paper] [-seed N] [-scale F]
 //	            [-pipeline ckpt] [-save ckpt] [-device gpu|coral|pi]
-//	            [-maxsessions N] [-batch N] [-maxdelay D] [-cachesize N]
-//	            [-ftworkers N] [-assignfrac F] [-loglevel debug|info|warn|error]
-//	            [-store dir] [-snapshot dir] [-snapinterval D]
-//	            [-peers url,url,...] [-self url] [-vnodes N]
-//	            [-membership-admin] [-drain-timeout D]
-//	            [-fault-seed N] [-fault-build F] [-fault-stall F]
-//	            [-fault-corrupt F] [-fault-store F] [-chaos-admin]
-//	            [-replaycap N] [-infertimeout D]
-//	            [-drift-window N] [-drift-threshold F] [-drift-consecutive N]
-//	            [-drift-cooldown N] [-drift-off]
-//	            [-slo-off] [-slo-availability F] [-slo-p99us F] [-slo-lattarget F]
-//	            [-slo-short D] [-slo-long D] [-slo-interval D] [-slo-fastburn F]
-//	            [-slo-minevents N] [-profdir DIR] [-profmax N] [-profcpu D]
-//	            [-profgap D] [-runtimesample D]
+//	            [-loglevel debug|info|warn|error]
+//	            [-store dir] [-snapinterval D]
+//	            [-peers url,url,...] [-self url] [-membership-admin]
+//	            [-fault-build F] [-fault-stall F] [-fault-corrupt F]
+//	            [-chaos-admin] [-breakercooldown D]
+//	            [-drift-window N] [-drift-consecutive N] [-drift-cooldown N]
+//	            [-slo-p99us F] [-slo-short D] [-slo-long D] [-slo-interval D]
+//	            [-slo-minevents N] [-profdir DIR] [-profcpu D] [-profgap D]
+//
+// A flag exists where a deployment or a CI smoke needs a value other than
+// the default; everything else (session cap, executor batch and delay,
+// cache and queue sizes, timeouts, SLO objectives, ...) is serve.Config's
+// default or a constant in internal/serve.
 //
 // -store enables durable session persistence through the file-backed
 // internal/store backend rooted at the given directory: sessions are
 // written through on every lifecycle mutation (plus a periodic
 // -snapinterval flush and one more on SIGTERM), fine-tuned models persist
 // as content-addressed checkpoint blobs, and owned sessions are restored
-// at boot. -snapshot is the legacy alias for the same directory.
+// at boot.
 //
 // -peers turns on router mode: the comma-separated replica URLs (this
 // one included, named by -self) form a consistent-hash ring that assigns
 // every session ID one owning replica. Non-owners proxy per-session
 // requests to the owner; a down owner's sessions fail over to the next
 // live node, which hydrates them from the shared -store directory — so
-// all replicas in one ring must share it. The -fault-* flags arm the
-// deterministic fault injector (chaos testing); all default to 0 (off).
+// all replicas in one ring must share it. On SIGTERM a ring member drains
+// (hands its sessions off) for at most 30s. The -fault-* flags arm the
+// deterministic fault injector (chaos testing, seed 1); all default to 0
+// (off).
 // With any fault armed (or -chaos-admin set) the durable store is wrapped
 // in the fault injector plus a transient-retry decorator, and persist
 // failures that survive the retries flow into the serving layer's
@@ -45,7 +46,7 @@
 // outages and inbound partitions on the live process — the hook
 // cmd/clear-loadgen's -chaos mode drives.
 // The -drift-* flags tune the self-healing cluster-assignment detector
-// (internal/serve/drift.go); -drift-off disables it entirely.
+// (internal/serve/drift.go).
 //
 // The observability surface (/metrics, /debug/pprof, /debug/vars,
 // /debug/spans, /v1/traces/{id}, /v1/slo) shares the API mux — no separate
@@ -80,64 +81,41 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		profile     = flag.String("profile", "fast", "experiment profile: fast or paper")
-		seed        = flag.Int64("seed", 1, "master seed for data and training")
-		scale       = flag.Float64("scale", 1.0, "training population scale factor")
-		pipePath    = flag.String("pipeline", "", "load a pipeline checkpoint instead of training")
-		savePath    = flag.String("save", "", "save the trained pipeline checkpoint here")
-		device      = flag.String("device", "gpu", "session execution platform: gpu, coral, or pi")
-		maxSessions = flag.Int("maxsessions", 1024, "live session cap")
-		maxBatch    = flag.Int("batch", 16, "executor max minibatch size")
-		maxDelay    = flag.Duration("maxdelay", 2*time.Millisecond, "executor max coalescing delay")
-		cacheSize   = flag.Int("cachesize", 64, "fine-tuned checkpoint LRU capacity")
-		ftWorkers   = flag.Int("ftworkers", 2, "fine-tune worker pool size")
-		assignFrac  = flag.Float64("assignfrac", 0.10, "default unlabeled cold-start budget")
-		logLevel    = flag.String("loglevel", "info", "structured log threshold: debug, info, warn, or error")
+		addr     = flag.String("addr", ":8080", "listen address")
+		profile  = flag.String("profile", "fast", "experiment profile: fast or paper")
+		seed     = flag.Int64("seed", 1, "master seed for data and training")
+		scale    = flag.Float64("scale", 1.0, "training population scale factor")
+		pipePath = flag.String("pipeline", "", "load a pipeline checkpoint instead of training")
+		savePath = flag.String("save", "", "save the trained pipeline checkpoint here")
+		device   = flag.String("device", "gpu", "session execution platform: gpu, coral, or pi")
+		logLevel = flag.String("loglevel", "info", "structured log threshold: debug, info, warn, or error")
 
 		storeDir     = flag.String("store", "", "durable store directory (enables crash-safe recovery and multi-replica handoff)")
-		snapPath     = flag.String("snapshot", "", "legacy alias for -store")
 		snapInterval = flag.Duration("snapinterval", 10*time.Second, "periodic store flush cadence")
 		peers        = flag.String("peers", "", "comma-separated replica URLs forming the placement ring (router mode)")
 		self         = flag.String("self", "", "this replica's URL (router mode; may be absent from -peers to boot as a standby awaiting a join)")
-		vnodes       = flag.Int("vnodes", 0, "virtual nodes per replica on the ring (0 = default 128)")
 		membAdmin    = flag.Bool("membership-admin", false, "mount POST /v1/membership for runtime join/leave/drain (testing/ops only)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain handoff bound on SIGTERM (router mode)")
-		inferTimeout = flag.Duration("infertimeout", 10*time.Second, "default per-window inference deadline")
 
-		faultSeed    = flag.Int64("fault-seed", 1, "fault injector seed")
 		faultBuild   = flag.Float64("fault-build", 0, "model-build failure rate [0,1]")
 		faultStall   = flag.Float64("fault-stall", 0, "inference stall rate [0,1]")
 		faultCorrupt = flag.Float64("fault-corrupt", 0, "window corruption rate [0,1]")
-		faultStore   = flag.Float64("fault-store", 0, "store write failure rate [0,1]")
 		chaosAdmin   = flag.Bool("chaos-admin", false, "mount POST /v1/chaos for runtime fault windows (testing only)")
-		replayCap    = flag.Int("replaycap", 0, "write-behind replay queue capacity (0 = default 256)")
-		journalCap   = flag.Int("journal", 0, "cluster event journal ring size behind GET /v1/events (0 = default 256)")
 
-		brThreshold = flag.Int("breakerthreshold", 3, "consecutive build failures that open a cluster's breaker")
-		brCooldown  = flag.Duration("breakercooldown", 5*time.Second, "breaker open→half-open cooldown")
+		brCooldown = flag.Duration("breakercooldown", 5*time.Second, "breaker open→half-open cooldown")
 
 		driftWindow      = flag.Int("drift-window", 8, "drift-detector evidence ring size in windows")
-		driftThreshold   = flag.Float64("drift-threshold", 0.05, "relative score gap for a drift-positive window")
 		driftConsecutive = flag.Int("drift-consecutive", 4, "consecutive positives that raise a drift verdict")
 		driftCooldown    = flag.Int("drift-cooldown", 64, "post-re-assignment flap-suppression cooldown in windows")
-		driftOff         = flag.Bool("drift-off", false, "disable the self-healing assignment detector")
 
-		sloOff       = flag.Bool("slo-off", false, "disable the burn-rate SLO tracker")
-		sloAvail     = flag.Float64("slo-availability", 0, "availability objective (e.g. 0.999; 0 = default)")
 		sloP99US     = flag.Float64("slo-p99us", 0, "latency objective bound in µs (0 = default 262144)")
-		sloLatTarget = flag.Float64("slo-lattarget", 0, "fraction of requests that must beat the bound (0 = default 0.99)")
 		sloShort     = flag.Duration("slo-short", 0, "fast-burn short window (0 = default 30s)")
 		sloLong      = flag.Duration("slo-long", 0, "fast-burn long window (0 = default 5m)")
 		sloInterval  = flag.Duration("slo-interval", 0, "tracker sampling interval (0 = default 1s)")
-		sloFastBurn  = flag.Float64("slo-fastburn", 0, "burn-rate multiple that counts as fast (0 = default 10)")
 		sloMinEvents = flag.Int64("slo-minevents", 0, "short-window event floor before a verdict (0 = default 10)")
 
-		profDir    = flag.String("profdir", "", "triggered-profile capture directory (empty = capture off)")
-		profMax    = flag.Int("profmax", 0, "capture ring size in cpu+heap pairs (0 = default 8)")
-		profCPU    = flag.Duration("profcpu", 0, "CPU profile duration per capture (0 = default 250ms)")
-		profGap    = flag.Duration("profgap", 0, "minimum gap between captures (0 = default 10s)")
-		sampleRate = flag.Duration("runtimesample", time.Second, "runtime-vitals sampling interval (0 = off)")
+		profDir = flag.String("profdir", "", "triggered-profile capture directory (empty = capture off)")
+		profCPU = flag.Duration("profcpu", 0, "CPU profile duration per capture (0 = default 250ms)")
+		profGap = flag.Duration("profgap", 0, "minimum gap between captures (0 = default 10s)")
 	)
 	flag.Parse()
 
@@ -170,16 +148,11 @@ func main() {
 		fmt.Printf("saved pipeline checkpoint to %s\n", *savePath)
 	}
 
-	// Durable store: -store, with -snapshot as the legacy alias.
-	dir := *storeDir
-	if dir == "" {
-		dir = *snapPath
-	}
 	var st store.Store
-	if dir != "" {
-		st, err = store.NewFile(dir)
+	if *storeDir != "" {
+		st, err = store.NewFile(*storeDir)
 		die(err)
-		fmt.Printf("durable store at %s\n", dir)
+		fmt.Printf("durable store at %s\n", *storeDir)
 	}
 
 	// Router mode: -peers forms the initial (epoch-1) membership of the
@@ -193,7 +166,7 @@ func main() {
 		for i := range nodes {
 			nodes[i] = strings.TrimSpace(nodes[i])
 		}
-		memb = shard.NewMembership(nodes, *vnodes)
+		memb = shard.NewMembership(nodes, 0) // default virtual-node count
 		if selfName == "" {
 			die(fmt.Errorf("-peers requires -self naming this replica's URL"))
 		}
@@ -206,15 +179,15 @@ func main() {
 	}
 
 	var inj *fault.Injector
-	if *faultBuild > 0 || *faultStall > 0 || *faultCorrupt > 0 || *faultStore > 0 || *chaosAdmin {
-		inj = fault.New(*faultSeed).
+	if *faultBuild > 0 || *faultStall > 0 || *faultCorrupt > 0 || *chaosAdmin {
+		// Store outages are armed at runtime through POST /v1/chaos.
+		inj = fault.New(1).
 			Enable(fault.ModelBuild, *faultBuild).
 			Enable(fault.InferStall, *faultStall).
-			Enable(fault.CorruptWindow, *faultCorrupt).
-			Enable(fault.StorePutFail, *faultStore)
+			Enable(fault.CorruptWindow, *faultCorrupt)
 		pipe.Fault = inj
-		fmt.Printf("fault injection armed (seed %d): build %.2f, stall %.2f, corrupt %.2f, store %.2f\n",
-			*faultSeed, *faultBuild, *faultStall, *faultCorrupt, *faultStore)
+		fmt.Printf("fault injection armed: build %.2f, stall %.2f, corrupt %.2f\n",
+			*faultBuild, *faultStall, *faultCorrupt)
 	}
 	if inj != nil && st != nil {
 		// Faults inject below the retry decorator, so transient bursts are
@@ -224,42 +197,25 @@ func main() {
 	}
 
 	scfg := serve.Config{
-		MaxSessions:      *maxSessions,
-		AssignFrac:       *assignFrac,
 		Device:           dev,
-		MaxBatch:         *maxBatch,
-		MaxDelay:         *maxDelay,
-		CacheSize:        *cacheSize,
-		FineTuneWorkers:  *ftWorkers,
-		InferTimeout:     *inferTimeout,
-		BreakerThreshold: *brThreshold,
 		BreakerCooldown:  *brCooldown,
 		Store:            st,
 		Self:             selfName,
 		SnapshotInterval: *snapInterval,
-		ReplayQueueCap:   *replayCap,
-		JournalEvents:    *journalCap,
 		Fault:            inj,
 		ChaosAdmin:       *chaosAdmin,
 		MembershipAdmin:  *membAdmin,
 		DriftWindow:      *driftWindow,
-		DriftThreshold:   *driftThreshold,
 		DriftConsecutive: *driftConsecutive,
 		DriftCooldown:    *driftCooldown,
-		DriftDisabled:    *driftOff,
 
-		SLODisabled:       *sloOff,
-		SLOAvailability:   *sloAvail,
 		SLOLatencyBoundUS: *sloP99US,
-		SLOLatencyTarget:  *sloLatTarget,
 		SLOShortWindow:    *sloShort,
 		SLOLongWindow:     *sloLong,
 		SLOInterval:       *sloInterval,
-		SLOFastBurn:       *sloFastBurn,
 		SLOMinEvents:      *sloMinEvents,
 
 		ProfileDir:    *profDir,
-		ProfileMax:    *profMax,
 		ProfileCPUDur: *profCPU,
 		ProfileMinGap: *profGap,
 	}
@@ -282,16 +238,13 @@ func main() {
 		n, err := srv.RestoreAll(context.Background(), scfg.OwnsID)
 		die(err)
 		if n > 0 {
-			fmt.Printf("restored %d sessions from %s\n", n, dir)
+			fmt.Printf("restored %d sessions from %s\n", n, *storeDir)
 		}
 	}
 
 	// Runtime vitals (heap, GC pauses, goroutines, scheduler latency) plus
 	// the tensor kernel op counters, on one cadence, into /metrics.
-	var sampler *obs.RuntimeSampler
-	if *sampleRate > 0 {
-		sampler = obs.StartRuntimeSampler(*sampleRate, serve.KernelSampleHook())
-	}
+	sampler := obs.StartRuntimeSampler(time.Second, serve.KernelSampleHook())
 	if *profDir != "" {
 		fmt.Printf("triggered profile capture armed: dir %s\n", *profDir)
 	}
@@ -299,11 +252,7 @@ func main() {
 	handler := srv.Handler()
 	var router *serve.Router
 	if memb != nil {
-		router = serve.NewRouter(srv, serve.RouterConfig{
-			Self:         selfName,
-			Membership:   memb,
-			DrainTimeout: *drainTimeout,
-		})
+		router = serve.NewRouter(srv, serve.RouterConfig{Self: selfName, Membership: memb})
 		handler = router.Handler()
 		v := memb.View()
 		fmt.Printf("router mode: self %s, epoch %d, ring %v\n", selfName, v.Epoch, v.Members)

@@ -327,7 +327,7 @@ type Assignment struct {
 // first frac of the new user's *unlabeled* feature maps (the paper uses
 // 10 %).
 func (p *Pipeline) Assign(u *wemac.UserMaps, frac float64) Assignment {
-	return p.assignSummaryCtx(context.Background(), u.Summary(frac), frac)
+	return p.assignSummaryCtx(backgroundCtx, u.Summary(frac), frac)
 }
 
 // AssignMaps is the streaming-ingest form of Assign: it assigns from an
@@ -337,12 +337,13 @@ func (p *Pipeline) Assign(u *wemac.UserMaps, frac float64) Assignment {
 // served cold-start decision is bitwise-equal to the batch eval path given
 // the same maps.
 func (p *Pipeline) AssignMaps(maps []*tensorT, fracUsed float64) Assignment {
-	return p.assignSummaryCtx(context.Background(), features.Summary(maps), fracUsed)
+	return p.assignSummaryCtx(backgroundCtx, features.Summary(maps), fracUsed)
 }
 
-// AssignMapsCtx is AssignMaps with request-scoped tracing: when ctx
-// carries an obs.Trace the core.assign span lands in that trace instead
-// of the process-wide background trace.
+// AssignMapsCtx is AssignMaps with request-scoped tracing: the core.assign
+// span lands in the obs.Trace ctx carries, and is not recorded at all when
+// ctx carries none — a served window must not grow the process-wide
+// background trace, which is never finished.
 func (p *Pipeline) AssignMapsCtx(ctx context.Context, maps []*tensorT, fracUsed float64) Assignment {
 	return p.assignSummaryCtx(ctx, features.Summary(maps), fracUsed)
 }
@@ -356,7 +357,7 @@ func (p *Pipeline) AssignMapsCtx(ctx context.Context, maps []*tensorT, fracUsed 
 // identical to Assign/AssignMaps, so rolling verdicts are directly
 // comparable to the original cold-start decision.
 func (p *Pipeline) AssignFromSummary(summary []float64, fracUsed float64) Assignment {
-	return p.assignSummaryCtx(context.Background(), summary, fracUsed)
+	return p.assignSummaryCtx(backgroundCtx, summary, fracUsed)
 }
 
 // AssignFromSummaryCtx is AssignFromSummary with request-scoped tracing.
@@ -364,18 +365,13 @@ func (p *Pipeline) AssignFromSummaryCtx(ctx context.Context, summary []float64, 
 	return p.assignSummaryCtx(ctx, summary, fracUsed)
 }
 
-// spanIn opens a span in the request trace carried by ctx, falling back
-// to the process-wide background trace when ctx has none — batch
-// binaries keep their flat span tree, served requests get scoped ones.
-func spanIn(ctx context.Context, name string) *obs.Span {
-	if sp := obs.StartSpanCtx(ctx, name); sp != nil {
-		return sp
-	}
-	return obs.StartSpan(name)
-}
+// backgroundCtx carries the process-wide background trace: the non-Ctx
+// entry points the batch binaries call record their spans there, so the
+// span tree printed at exit keeps its core.assign/core.finetune rows.
+var backgroundCtx = obs.WithTrace(context.Background(), obs.BackgroundTrace())
 
 func (p *Pipeline) assignSummaryCtx(ctx context.Context, summary []float64, fracUsed float64) Assignment {
-	sp := spanIn(ctx, "core.assign")
+	sp := obs.StartSpanCtx(ctx, "core.assign")
 	defer sp.End()
 	mCoreAssigns.Inc()
 	s := p.Std.Apply(summary)
@@ -455,16 +451,16 @@ func (p *Pipeline) EnsembleFor(a Assignment) (*nn.Ensemble, error) {
 // When configured, each sample is expanded with noise-jittered copies so
 // the optimizer sees enough variation to generalise from a handful of maps.
 func (p *Pipeline) FineTune(k int, data []nn.Sample) (*nn.Model, error) {
-	return p.FineTuneCtx(context.Background(), k, data)
+	return p.FineTuneCtx(backgroundCtx, k, data)
 }
 
 // FineTuneCtx is FineTune with request-scoped tracing: the core.finetune
-// span attaches to the trace carried by ctx when present.
+// span attaches to the trace carried by ctx, and to nothing otherwise.
 func (p *Pipeline) FineTuneCtx(ctx context.Context, k int, data []nn.Sample) (*nn.Model, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("core: no fine-tuning data")
 	}
-	sp := spanIn(ctx, "core.finetune")
+	sp := obs.StartSpanCtx(ctx, "core.finetune")
 	defer sp.End()
 	mCoreFineTunes.Inc()
 	if p.Fault.Fire(fault.ModelBuild) {

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/features"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/wemac"
 )
 
@@ -199,6 +201,39 @@ func TestFineTuneReturnsNewModel(t *testing.T) {
 	if _, err := p.FineTune(a.Cluster, nil); err == nil {
 		t.Error("want error for empty fine-tune data")
 	}
+
+	// Span placement: the non-Ctx forms above recorded on the background
+	// trace (the batch binaries' exit tree shows core.assign/core.finetune);
+	// the Ctx forms record only in the trace ctx carries, so an untraced
+	// served window or fine-tune leaves the background trace alone.
+	if backgroundSpans("core.assign") == 0 || backgroundSpans("core.finetune") == 0 {
+		t.Fatal("Assign/FineTune left no span on the background trace")
+	}
+	nAssign, nFT := backgroundSpans("core.assign"), backgroundSpans("core.finetune")
+	p.AssignMapsCtx(context.Background(), []*tensorT{holdout.Maps[0].Map}, 0.1)
+	p.AssignFromSummaryCtx(context.Background(), holdout.Summary(0.1), 0.1)
+	if _, err := p.FineTuneCtx(context.Background(), a.Cluster, data[:4]); err != nil {
+		t.Fatal(err)
+	}
+	if backgroundSpans("core.assign") != nAssign || backgroundSpans("core.finetune") != nFT {
+		t.Error("untraced Ctx calls grew the background trace")
+	}
+	tr := obs.NewTrace("req")
+	p.AssignFromSummaryCtx(obs.WithTrace(context.Background(), tr), holdout.Summary(0.1), 0.1)
+	if snap := tr.Snapshot(); len(snap.Spans) != 1 || snap.Spans[0].Name != "core.assign" {
+		t.Errorf("traced ctx spans = %+v, want one core.assign", snap.Spans)
+	}
+}
+
+// backgroundSpans counts the spans called name on obs's background trace.
+func backgroundSpans(name string) int {
+	n := 0
+	for _, sp := range obs.BackgroundTrace().Snapshot().Spans {
+		if sp.Name == name {
+			n++
+		}
+	}
+	return n
 }
 
 func TestTrainErrors(t *testing.T) {

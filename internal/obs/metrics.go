@@ -206,8 +206,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 // Buckets snapshots the histogram's bucket layout: bounds are the
 // inclusive upper edges and counts has len(bounds)+1 entries, the last
 // being the overflow bucket. The SLO tracker diffs successive snapshots to
-// compute windowed latency-threshold rates, and clear-bench merges
-// snapshots across vec children to report stage medians.
+// compute windowed latency-threshold rates.
 func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
 	bounds = append([]float64(nil), h.bounds...)
 	counts = make([]int64, len(h.buckets))

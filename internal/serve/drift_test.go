@@ -7,10 +7,11 @@ package serve
 // a serving-safe state. Run with -race.
 
 import (
-	"bytes"
+	"context"
 	"testing"
 	"time"
 
+	"repro/internal/store"
 	"repro/internal/wemac"
 )
 
@@ -216,7 +217,9 @@ func TestDriftDisabled(t *testing.T) {
 // half-swapped — with the re-assignment record and cooldown intact.
 func TestSnapshotMidReassigningRestoresSafe(t *testing.T) {
 	ua, _, ka, kb := twoClusterUsers(t)
-	srv := newTestServer(t, driftCfg())
+	cfg := driftCfg()
+	cfg.Store = store.NewMem()
+	srv := newTestServer(t, cfg)
 	sess, err := srv.CreateSession(ua.ID, len(ua.Maps), 0.1)
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
@@ -249,15 +252,16 @@ func TestSnapshotMidReassigningRestoresSafe(t *testing.T) {
 	sess.ensureDriftLocked().cooldown = 57
 	sess.mu.Unlock()
 
-	var buf bytes.Buffer
-	if err := srv.Snapshot(&buf); err != nil {
-		t.Fatalf("Snapshot: %v", err)
+	// The persisted checkpoint was cut on ka, so it is stale for the
+	// swapped record and the restore must replay the fine-tune on kb.
+	if n := srv.FlushAll(context.Background()); n != 1 {
+		t.Fatalf("FlushAll = %d, want 1", n)
 	}
 
-	srv2 := newTestServer(t, driftCfg())
-	nrec, err := srv2.Restore(&buf)
+	srv2 := newTestServer(t, cfg)
+	nrec, err := srv2.RestoreAll(context.Background(), nil)
 	if err != nil || nrec != 1 {
-		t.Fatalf("Restore = %d, %v; want 1 session", nrec, err)
+		t.Fatalf("RestoreAll = %d, %v; want 1 session", nrec, err)
 	}
 	rsess, err := srv2.Session(sess.ID())
 	if err != nil {

@@ -25,10 +25,7 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -36,10 +33,6 @@ import (
 
 	"repro/internal/obs"
 )
-
-// errPeerNoTrace reports a peer that answered the trace fan-out but holds
-// no segment for the id — a normal outcome, not a reachability failure.
-var errPeerNoTrace = errors.New("serve: peer holds no segment for trace")
 
 // FleetTrace is the federated GET /v1/traces/{id} body: every retained
 // segment of one trace collected from across the ring, stitched into a
@@ -97,13 +90,15 @@ func (rt *Router) handleFederatedTrace(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(node string) {
 			defer wg.Done()
-			snap, err := rt.fetchPeerTrace(r.Context(), node, id)
+			// A federation leg: the peer answers from its own store only.
+			var snap obs.TraceSnapshot
+			status, err := rt.peerGet(r.Context(), node, "/v1/traces/"+id, &snap)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
 			case err == nil:
 				segments = append(segments, traceSegment{node: node, snap: snap})
-			case errors.Is(err, errPeerNoTrace):
+			case status == http.StatusNotFound:
 				// The peer answered; it just never saw this trace.
 			default:
 				unreachable = append(unreachable, node)
@@ -155,37 +150,6 @@ func stitchTrace(segments []traceSegment, unreachable []string) FleetTrace {
 	return ft
 }
 
-// fetchPeerTrace asks one peer for its local segment of a trace, under
-// the per-attempt forward deadline and flagged as a federation leg so the
-// peer never fans out again.
-func (rt *Router) fetchPeerTrace(ctx context.Context, node, id string) (obs.TraceSnapshot, error) {
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.ForwardAttemptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/traces/"+id, nil)
-	if err != nil {
-		return obs.TraceSnapshot{}, err
-	}
-	req.Header.Set(federationHeader, rt.cfg.Self)
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return obs.TraceSnapshot{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body)
-		return obs.TraceSnapshot{}, errPeerNoTrace
-	}
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return obs.TraceSnapshot{}, fmt.Errorf("serve: trace fan-out: %s answered %d", node, resp.StatusCode)
-	}
-	var snap obs.TraceSnapshot
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&snap); err != nil {
-		return obs.TraceSnapshot{}, err
-	}
-	return snap, nil
-}
-
 // FleetNodeReport is one member's slice of the fleet report. Unreachable
 // marks a peer whose stats scrape failed within the deadline; its other
 // fields are then absent and the report is explicitly partial.
@@ -232,12 +196,12 @@ type FleetInvariants struct {
 
 // FleetReport is the GET /v1/fleet body.
 type FleetReport struct {
-	Self       string             `json:"self"`
-	Epoch      uint64             `json:"epoch"`
-	Members    []string           `json:"members"`
-	Nodes      []FleetNodeReport  `json:"nodes"`
-	Summary    FleetSummary       `json:"summary"`
-	Invariants FleetInvariants    `json:"invariants"`
+	Self       string            `json:"self"`
+	Epoch      uint64            `json:"epoch"`
+	Members    []string          `json:"members"`
+	Nodes      []FleetNodeReport `json:"nodes"`
+	Summary    FleetSummary      `json:"summary"`
+	Invariants FleetInvariants   `json:"invariants"`
 	// Events is every member's journal segment merged into one stream
 	// ordered by (epoch, node, seq) — identical no matter which replica
 	// built the report.
@@ -279,43 +243,21 @@ func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) scrapePeer(ctx context.Context, node string) (FleetNodeReport, []obs.JournalEvent) {
 	rep := FleetNodeReport{Node: node}
 	var st Stats
-	if err := rt.fetchPeerJSON(ctx, node, "/v1/stats", &st); err != nil {
+	if _, err := rt.peerGet(ctx, node, "/v1/stats", &st); err != nil {
 		rep.Unreachable = true
 		rep.Error = err.Error()
 		return rep, nil
 	}
 	rep.Stats = &st
 	var slo SLOReport
-	if err := rt.fetchPeerJSON(ctx, node, "/v1/slo", &slo); err == nil {
+	if _, err := rt.peerGet(ctx, node, "/v1/slo", &slo); err == nil {
 		rep.SLO = &slo
 	}
 	var evs EventsResponse
-	if err := rt.fetchPeerJSON(ctx, node, "/v1/events", &evs); err != nil {
+	if _, err := rt.peerGet(ctx, node, "/v1/events", &evs); err != nil {
 		return rep, nil
 	}
 	return rep, evs.Events
-}
-
-// fetchPeerJSON fetches one peer endpoint under the per-attempt forward
-// deadline, flagged as a federation leg.
-func (rt *Router) fetchPeerJSON(ctx context.Context, node, path string, out any) error {
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.ForwardAttemptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+path, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set(federationHeader, rt.cfg.Self)
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return fmt.Errorf("serve: fleet scrape: %s%s answered %d", node, path, resp.StatusCode)
-	}
-	return json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(out)
 }
 
 // buildFleetReport merges per-node reports into the fleet view: summed

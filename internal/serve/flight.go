@@ -81,11 +81,11 @@ type flightRecorder struct {
 	seq  int64 // last sequence number handed out
 }
 
-func newFlightRecorder(capacity int) *flightRecorder {
-	if capacity <= 0 {
-		capacity = 64
-	}
-	return &flightRecorder{buf: make([]FlightEvent, capacity)}
+// flightEvents sizes each session's ring.
+const flightEvents = 64
+
+func newFlightRecorder() *flightRecorder {
+	return &flightRecorder{buf: make([]FlightEvent, flightEvents)}
 }
 
 // add appends one event and returns it (for logging by the caller).

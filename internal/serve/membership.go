@@ -23,13 +23,13 @@ package serve
 //     (drain_incomplete), never a silent drop.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -89,21 +89,13 @@ func (rt *Router) Draining() bool {
 // survivor's vantage point, stamped with the epoch that minted it.
 func (rt *Router) journalViewDiff(ctx context.Context, prev, next shard.View) {
 	j := rt.srv.journal
-	prevSet := make(map[string]bool, len(prev.Members))
-	for _, n := range prev.Members {
-		prevSet[n] = true
-	}
-	nextSet := make(map[string]bool, len(next.Members))
 	for _, n := range next.Members {
-		nextSet[n] = true
-	}
-	for _, n := range next.Members {
-		if !prevSet[n] {
+		if !prev.Contains(n) {
 			j.Record(ctx, "node_joined", "%s (epoch %d)", n, next.Epoch)
 		}
 	}
 	for _, n := range prev.Members {
-		if !nextSet[n] {
+		if !next.Contains(n) {
 			j.Record(ctx, "node_left", "%s (epoch %d)", n, next.Epoch)
 		}
 	}
@@ -374,17 +366,7 @@ func (rt *Router) handleMembershipSync(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad sync body: " + err.Error()})
 		return
 	}
-	prev := rt.view()
-	v, adopted := rt.memb.Adopt(req.Epoch, req.Members)
-	if adopted {
-		mViewsAdopted.Inc()
-		obs.Logger().Info("membership view adopted", "epoch", v.Epoch, "members", len(v.Members))
-		rt.journalViewDiff(r.Context(), prev, v)
-		rt.srv.journal.Record(r.Context(), "view_adopted",
-			"epoch %d, %d members (pushed)", v.Epoch, len(v.Members))
-		rt.kickJanitor()
-	}
-	writeJSON(w, http.StatusOK, viewBody(v))
+	writeJSON(w, http.StatusOK, viewBody(rt.adoptView(r.Context(), req.Epoch, req.Members, "pushed")))
 }
 
 // handleRehydrate receives a hand-off notification: the sender persisted
@@ -419,52 +401,58 @@ func (rt *Router) broadcast(v shard.View) {
 	}
 }
 
-// postSync pushes one view to one peer and adopts the peer's answer if
-// it turns out newer (the push raced a fresher mutation). The push runs
-// under an rpc trace whose traceparent rides the request, so the peer's
-// membership_sync handler segment joins the same trace id and the hop is
-// visible end to end in the federated trace view.
-func (rt *Router) postSync(node string, v shard.View) {
-	tr := obs.NewTrace("rpc.membership_sync")
-	sp := tr.Start("sync")
-	sp.SetAttr("peer", node)
-	sp.SetAttr("epoch", fmt.Sprintf("%d", v.Epoch))
-	defer func() {
+// adoptView offers a view learned from a peer to the membership (the Adopt
+// total order decides) and, when it wins, journals the change and wakes
+// the janitor. how says where the view came from. It returns the view now
+// in effect.
+func (rt *Router) adoptView(ctx context.Context, epoch uint64, members []string, how string) shard.View {
+	prev := rt.view()
+	v, adopted := rt.memb.Adopt(epoch, members)
+	if adopted {
+		mViewsAdopted.Inc()
+		obs.Logger().Info("membership view adopted", "how", how,
+			"epoch", v.Epoch, "members", len(v.Members))
+		rt.journalViewDiff(ctx, prev, v)
+		rt.srv.journal.Record(ctx, "view_adopted",
+			"epoch %d, %d members (%s)", v.Epoch, len(v.Members), how)
+		rt.kickJanitor()
+	}
+	return v
+}
+
+// rpcTrace opens the one-span trace a replica-originated RPC runs under:
+// peerCall sends its traceparent, so the peer's handler segment joins the
+// same trace id and the hop is visible end to end in the federated trace
+// view. attrs are key, value pairs set on the span. done ends the span —
+// failed when err is non-nil — and retains the trace.
+func (rt *Router) rpcTrace(name, span string, attrs ...string) (ctx context.Context, done func(error)) {
+	tr := obs.NewTrace(name)
+	sp := tr.Start(span)
+	for i := 0; i+1 < len(attrs); i += 2 {
+		sp.SetAttr(attrs[i], attrs[i+1])
+	}
+	return obs.WithTrace(context.Background(), tr), func(err error) {
+		sp.Fail(err)
 		tr.Finish()
 		rt.srv.traces.Add(tr)
-	}()
-	body, _ := json.Marshal(membershipSyncRequest{Epoch: v.Epoch, Members: v.Members})
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ForwardAttemptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		node+"/v1/membership/sync", bytes.NewReader(body))
-	if err != nil {
-		sp.Fail(err)
-		return
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("traceparent", tr.Traceparent())
-	resp, err := rt.client.Do(req)
+}
+
+// postSync pushes one view to one peer and adopts the peer's answer if
+// it turns out newer (the push raced a fresher mutation).
+func (rt *Router) postSync(node string, v shard.View) {
+	ctx, done := rt.rpcTrace("rpc.membership_sync", "sync",
+		"peer", node, "epoch", strconv.FormatUint(v.Epoch, 10))
+	body, _ := json.Marshal(membershipSyncRequest{Epoch: v.Epoch, Members: v.Members})
+	var got membershipView
+	_, err := rt.peerCall(ctx, node, peerReq{kind: kindFederated,
+		method: http.MethodPost, path: "/v1/membership/sync", body: body, out: &got})
 	if err != nil {
 		obs.Logger().Warn("membership sync push failed", "peer", node, "err", err)
-		sp.Fail(err)
-		return
+	} else {
+		rt.adoptView(ctx, got.Epoch, got.Members, "from "+node)
 	}
-	defer resp.Body.Close()
-	var got membershipView
-	if resp.StatusCode == http.StatusOK &&
-		json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&got) == nil {
-		prev := rt.view()
-		if nv, adopted := rt.memb.Adopt(got.Epoch, got.Members); adopted {
-			mViewsAdopted.Inc()
-			rt.journalViewDiff(obs.WithTrace(ctx, tr), prev, nv)
-			rt.srv.journal.Record(obs.WithTrace(ctx, tr), "view_adopted",
-				"epoch %d, %d members (from %s)", nv.Epoch, len(nv.Members), node)
-			rt.kickJanitor()
-		}
-	}
-	io.Copy(io.Discard, resp.Body)
-	sp.End()
+	done(err)
 }
 
 // pullViewFrom fetches node's view and adopts it if newer. Used when a
@@ -473,75 +461,24 @@ func (rt *Router) pullViewFrom(node string) {
 	if node == "" || node == rt.cfg.Self {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ForwardAttemptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/membership", nil)
-	if err != nil {
-		return
-	}
-	resp, err := rt.client.Do(req)
+	ctx, done := rt.rpcTrace("rpc.membership_pull", "pull", "peer", node)
+	var got membershipView
+	_, err := rt.peerGet(ctx, node, "/v1/membership", &got)
 	if err != nil {
 		obs.Logger().Warn("membership pull failed", "peer", node, "err", err)
-		return
+	} else {
+		rt.adoptView(ctx, got.Epoch, got.Members, "pulled from "+node)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return
-	}
-	var got membershipView
-	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&got) != nil {
-		return
-	}
-	prev := rt.view()
-	if v, adopted := rt.memb.Adopt(got.Epoch, got.Members); adopted {
-		mViewsAdopted.Inc()
-		obs.Logger().Info("membership view adopted", "from", node,
-			"epoch", v.Epoch, "members", len(v.Members))
-		rt.journalViewDiff(ctx, prev, v)
-		rt.srv.journal.Record(ctx, "view_adopted",
-			"epoch %d, %d members (pulled from %s)", v.Epoch, len(v.Members), node)
-		rt.kickJanitor()
-	}
+	done(err)
 }
 
 // notifyRehydrate tells owner to re-hydrate id from the store. The
-// caller must have persisted first; only a 200 licences eviction. Like
-// postSync, the notification runs under an rpc trace whose traceparent
-// rides the request, so the hand-back is one stitched trace: the
-// `rehydrate` span here and the owner's handler segment share an id.
+// caller must have persisted first; only a 200 licences eviction.
 func (rt *Router) notifyRehydrate(owner, id string) error {
-	tr := obs.NewTrace("rpc.rehydrate")
-	sp := tr.Start("rehydrate")
-	sp.SetAttr("peer", owner)
-	sp.SetAttr("session", id)
-	defer func() {
-		tr.Finish()
-		rt.srv.traces.Add(tr)
-	}()
+	ctx, done := rt.rpcTrace("rpc.rehydrate", "rehydrate", "peer", owner, "session", id)
 	body, _ := json.Marshal(rehydrateRequest{ID: id})
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ForwardAttemptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		owner+"/v1/rehydrate", bytes.NewReader(body))
-	if err != nil {
-		sp.Fail(err)
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("traceparent", tr.Traceparent())
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		sp.Fail(err)
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		err := fmt.Errorf("rehydrate notify: %s answered %d", owner, resp.StatusCode)
-		sp.Fail(err)
-		return err
-	}
-	sp.End()
-	return nil
+	_, err := rt.peerCall(ctx, owner, peerReq{kind: kindFederated,
+		method: http.MethodPost, path: "/v1/rehydrate", body: body})
+	done(err)
+	return err
 }

@@ -8,6 +8,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -20,6 +21,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/wemac"
 )
 
@@ -330,7 +332,8 @@ func TestFlightRecorderBreakerCycle(t *testing.T) {
 // back verbatim, the restore itself must be recorded, and sequence
 // numbering must continue rather than restart.
 func TestFlightEventsSurviveSnapshotRestore(t *testing.T) {
-	srvA := newTestServer(t, Config{})
+	st := store.NewMem()
+	srvA := newTestServer(t, Config{Store: st})
 	_, users := fixture(t)
 	u := users[3]
 	sess, err := srvA.CreateSession(u.ID, len(u.Maps), 0.9)
@@ -348,13 +351,10 @@ func TestFlightEventsSurviveSnapshotRestore(t *testing.T) {
 	}
 	maxSeq := before[len(before)-1].Seq
 
-	var buf bytes.Buffer
-	if err := srvA.Snapshot(&buf); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	srvB := newTestServer(t, Config{})
-	if n, err := srvB.Restore(bytes.NewReader(buf.Bytes())); err != nil || n != 1 {
-		t.Fatalf("Restore = (%d, %v), want (1, nil)", n, err)
+	srvA.FlushAll(context.Background())
+	srvB := newTestServer(t, Config{Store: st})
+	if n, err := srvB.RestoreAll(context.Background(), nil); err != nil || n != 1 {
+		t.Fatalf("RestoreAll = (%d, %v), want (1, nil)", n, err)
 	}
 	rs, err := srvB.Session(sess.ID())
 	if err != nil {

@@ -6,7 +6,6 @@ package serve
 // Shutdown-vs-lifecycle race (run with -race).
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -335,10 +334,13 @@ func TestErrorStatusTable(t *testing.T) {
 // TestSnapshotRestoreRoundTrip persists a registry holding sessions at
 // different lifecycle positions and restores it into a fresh server: the
 // enrolment state machine, the cold-start assignment, the label budget,
-// and the retained maps must survive bitwise; post-assignment sessions are
-// demoted to the cluster baseline and their labels replay a fine-tune.
+// and the retained maps must survive bitwise; a post-assignment session
+// comes back personalised — from its persisted checkpoint, or by replaying
+// its labels when the crash beat the checkpoint to the store.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	srvA := newTestServer(t, Config{})
+	ctx := context.Background()
+	st := store.NewMem()
+	srvA := newTestServer(t, Config{Store: st, Self: "a"})
 	_, users := fixture(t)
 
 	// sEnrol: mid-enrolment. sMon: fully personalised and monitoring.
@@ -372,15 +374,18 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := srvA.Snapshot(&buf); err != nil {
-		t.Fatalf("Snapshot: %v", err)
+	if n := srvA.FlushAll(ctx); n != 2 {
+		t.Fatalf("FlushAll = %d, want 2", n)
+	}
+	// One garbage record in the store must not take the boot restore out.
+	if err := st.PutSession(ctx, "s999999", []byte("not a session record at all")); err != nil {
+		t.Fatalf("PutSession: %v", err)
 	}
 
-	srvB := newTestServer(t, Config{})
-	n, err := srvB.Restore(bytes.NewReader(buf.Bytes()))
+	srvB := newTestServer(t, Config{Store: st, Self: "b"})
+	n, err := srvB.RestoreAll(ctx, nil)
 	if err != nil || n != 2 {
-		t.Fatalf("Restore = (%d, %v), want (2, nil)", n, err)
+		t.Fatalf("RestoreAll = (%d, %v), want (2, nil)", n, err)
 	}
 
 	// Enrolling session: byte-exact continuation.
@@ -405,8 +410,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Error("restored session not flagged Restored")
 	}
 
-	// Monitored session: demoted to the baseline, assignment and labels
-	// intact, then re-personalised from the replayed labels.
+	// Monitored session: assignment and labels intact, personalised again
+	// (checkpoint reloaded, or labels replayed).
 	rM, err := srvB.Session(sMon.ID())
 	if err != nil {
 		t.Fatalf("restored monitored session: %v", err)
@@ -425,7 +430,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	waitState(t, rM, StateMonitoring)
 	if st := rM.Status(); !st.Personalized {
-		t.Error("restored session's labels did not replay into a fine-tune")
+		t.Error("restored session did not come back personalised")
 	}
 
 	// The restored sequence counter cannot collide with the old IDs.
@@ -437,9 +442,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("new session reused a restored ID %s", fresh.ID())
 	}
 
-	// Corrupt stream → typed error.
-	if _, err := srvB.Restore(bytes.NewReader([]byte("not a snapshot at all"))); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("garbage Restore err = %v, want ErrBadSnapshot", err)
+	// Corrupt record → typed error, on the decoder and on the hydrate path.
+	if _, _, err := decodeSessionRec([]byte("not a session record at all")); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("garbage decodeSessionRec err = %v, want ErrBadSnapshot", err)
+	}
+	if _, err := srvB.SessionCtx(ctx, "s999999"); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("garbage hydrate err = %v, want ErrBadSnapshot", err)
 	}
 }
 

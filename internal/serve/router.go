@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -71,13 +72,20 @@ const epochHeader = "X-Ring-Epoch"
 // which replica actually served them.
 const nodeHeader = "X-Clear-Node"
 
-// federationHeader marks a fleet fan-out request (federated trace lookup
-// or fleet report scrape). A peer seeing it answers from local state
-// only — the loop guard that keeps federation at exactly one hop.
+// federationHeader marks a request a replica originated itself rather
+// than proxied for a client: fleet fan-out legs (federated trace lookup,
+// fleet report scrape), membership sync and pull, the rehydrate notify
+// and the health probe. A peer seeing it answers from local state only —
+// the loop guard that keeps federation at exactly one hop.
 const federationHeader = "X-Clear-Federated"
 
-// errPeerProbe feeds a failed /healthz probe into the peer's breaker.
-var errPeerProbe = errors.New("serve: peer healthz probe failed")
+// forwardTimeout is the http.Client backstop over one inter-replica
+// exchange; every call also runs under the shorter per-attempt deadline.
+const forwardTimeout = 30 * time.Second
+
+// peerBodyCap bounds how much of a peer's response peerCall will decode
+// or drain — the largest answer (a fleet stats scrape) fits with room.
+const peerBodyCap = 8 << 20
 
 // Proxy telemetry: outcome ∈ {ok, error, timeout}; target cardinality is
 // the (small, fixed) peer list.
@@ -111,13 +119,10 @@ type RouterConfig struct {
 	// jittered ±25% so a restarted node's peers don't probe in lockstep
 	// (thundering-herd on recovery). Default 500ms.
 	HealthInterval time.Duration
-	// ForwardTimeout bounds a proxied request end to end (all attempts).
-	// Default 30s.
-	ForwardTimeout time.Duration
-	// ForwardAttemptTimeout is the per-attempt forward deadline: an owner
-	// that hasn't answered within it is presumed partitioned and the
-	// request makes its single hedged retry to the OwnerExcluding
-	// failover target. Default 2s (capped at ForwardTimeout).
+	// ForwardAttemptTimeout is the deadline of one inter-replica call: an
+	// owner that hasn't answered a forward within it is presumed
+	// partitioned and the request makes its single hedged retry to the
+	// OwnerExcluding failover target. Default 2s (capped at 30s).
 	ForwardAttemptTimeout time.Duration
 	// PeerBreakerThreshold consecutive forward failures to one peer open
 	// its breaker for PeerBreakerCooldown: the peer joins the effective
@@ -135,7 +140,6 @@ type Router struct {
 	cfg    RouterConfig
 	memb   *shard.Membership
 	client *http.Client
-	probe  *http.Client
 
 	// drain tracks graceful-drain progress (membership.go).
 	drain drainState
@@ -164,14 +168,11 @@ func NewRouter(srv *Server, cfg RouterConfig) *Router {
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = 500 * time.Millisecond
 	}
-	if cfg.ForwardTimeout <= 0 {
-		cfg.ForwardTimeout = 30 * time.Second
-	}
 	if cfg.ForwardAttemptTimeout <= 0 {
 		cfg.ForwardAttemptTimeout = 2 * time.Second
 	}
-	if cfg.ForwardAttemptTimeout > cfg.ForwardTimeout {
-		cfg.ForwardAttemptTimeout = cfg.ForwardTimeout
+	if cfg.ForwardAttemptTimeout > forwardTimeout {
+		cfg.ForwardAttemptTimeout = forwardTimeout
 	}
 	if cfg.PeerBreakerThreshold <= 0 {
 		cfg.PeerBreakerThreshold = 3
@@ -190,8 +191,7 @@ func NewRouter(srv *Server, cfg RouterConfig) *Router {
 		srv:        srv,
 		cfg:        cfg,
 		memb:       memb,
-		client:     &http.Client{Timeout: cfg.ForwardTimeout},
-		probe:      &http.Client{Timeout: cfg.HealthInterval},
+		client:     &http.Client{Timeout: forwardTimeout},
 		down:       map[string]bool{},
 		breakers:   map[string]*Breaker{},
 		kick:       make(chan struct{}, 1),
@@ -211,10 +211,6 @@ func NewRouter(srv *Server, cfg RouterConfig) *Router {
 	go rt.healthLoop()
 	return rt
 }
-
-// Membership exposes the router's versioned ring (the embedding binary's
-// OwnsID predicate and tests read it).
-func (rt *Router) Membership() *shard.Membership { return rt.memb }
 
 // view snapshots the current membership.
 func (rt *Router) view() shard.View { return rt.memb.View() }
@@ -505,77 +501,138 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint, owne
 	}
 }
 
-// tryForward attempts one proxied round-trip under the per-attempt
-// deadline, streaming the response through verbatim (status, headers,
-// body) and stamping the forward with this replica's ring epoch and the
-// proxy trace's traceparent (so the peer's handler segment joins the
-// same 128-bit trace id). The hop is recorded on tr as a `forward` span
-// carrying the peer, the epoch it was sent under, and its outcome. A
-// transport error, deadline miss, or epoch-mismatch 421 returns with
-// nothing written — the caller can still hedge, re-resolve, or serve
-// locally; any other upstream answer is relayed as-is. Each attempt's
-// outcome feeds the target's breaker, except when the caller itself
-// gave up (its error, not the peer's).
-func (rt *Router) tryForward(w http.ResponseWriter, r *http.Request, target string, body []byte, tr *obs.Trace) fwdStatus {
-	start := time.Now()
-	epoch := rt.view().Epoch
-	sp := tr.Start("forward")
-	sp.SetAttr("peer", target)
-	sp.SetAttr("epoch", strconv.FormatUint(epoch, 10))
-	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ForwardAttemptTimeout)
+// peerKind is the header that tells the receiving replica what kind of
+// inter-replica call it is looking at; its value is the calling node.
+type peerKind string
+
+const (
+	// kindForward is a client request proxied to its owner; it also
+	// carries this replica's ring epoch (epochHeader).
+	kindForward peerKind = forwardedHeader
+	// kindFederated is a call the replica originated itself.
+	kindFederated peerKind = federationHeader
+)
+
+// peerReq describes one inter-replica request.
+type peerReq struct {
+	kind   peerKind
+	method string
+	path   string      // path and query on the peer
+	header http.Header // base headers, owned by the call (a forward's clone of the client's)
+	body   []byte      // sent as application/json unless header names another type
+	out    any         // when non-nil, a 200 answer is JSON-decoded into it
+	// relay, when set, is handed the response whatever its status, in place
+	// of the status check and decode: a forward streams it to its client.
+	relay func(*http.Response)
+}
+
+// peerCall makes one request to a peer replica and is the only place that
+// does: it bounds the attempt by ForwardAttemptTimeout (or ctx's earlier
+// deadline), stamps the call-kind header and the traceparent of the trace
+// ctx carries, and afterwards drains the body — bounded — so the transport
+// can reuse the keep-alive connection. Without relay, any status but 200 is
+// an error (returned alongside the status) and a 200 body decodes into out.
+// Breaker feedback is the caller's business.
+func (rt *Router) peerCall(ctx context.Context, node string, rq peerReq) (int, error) {
+	ctx, cancel := context.WithTimeout(ctx, rt.cfg.ForwardAttemptTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, r.Method,
-		target+r.URL.RequestURI(), bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, rq.method, node+rq.path, bytes.NewReader(rq.body))
 	if err != nil {
-		mProxyVec.With(target, "error").Inc()
-		sp.Fail(err)
-		return fwdFail
+		return 0, err
 	}
-	req.Header = r.Header.Clone()
-	req.Header.Set(forwardedHeader, rt.cfg.Self)
-	req.Header.Set(epochHeader, strconv.FormatUint(epoch, 10))
-	if tp := tr.Traceparent(); tp != "" {
+	if rq.header != nil {
+		req.Header = rq.header
+	}
+	if len(rq.body) > 0 && req.Header.Get("Content-Type") == "" {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	req.Header.Set(string(rq.kind), rt.cfg.Self)
+	if rq.kind == kindForward {
+		req.Header.Set(epochHeader, strconv.FormatUint(rt.view().Epoch, 10))
+	}
+	if tp := obs.TraceOf(ctx).Traceparent(); tp != "" {
 		req.Header.Set("traceparent", tp)
 	}
 	resp, err := rt.client.Do(req)
-	hProxyLatUS.With(target).Observe(float64(time.Since(start).Microseconds()))
 	if err != nil {
-		outcome := "error"
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return 0, err
+	}
+	defer func() {
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, peerBodyCap))
+		resp.Body.Close()
+	}()
+	switch {
+	case rq.relay != nil:
+		rq.relay(resp)
+	case resp.StatusCode != http.StatusOK:
+		return resp.StatusCode, fmt.Errorf("serve: %s %s%s answered %d", rq.method, node, rq.path, resp.StatusCode)
+	case rq.out != nil:
+		if err := json.NewDecoder(io.LimitReader(resp.Body, peerBodyCap)).Decode(rq.out); err != nil {
+			return resp.StatusCode, fmt.Errorf("serve: %s %s%s: %w", rq.method, node, rq.path, err)
+		}
+	}
+	return resp.StatusCode, nil
+}
+
+// peerGet is peerCall for the common shape: a replica-originated GET whose
+// 200 answer decodes into out.
+func (rt *Router) peerGet(ctx context.Context, node, path string, out any) (int, error) {
+	return rt.peerCall(ctx, node, peerReq{kind: kindFederated, method: http.MethodGet, path: path, out: out})
+}
+
+// tryForward attempts one proxied round-trip, streaming the response
+// through verbatim (status, headers, body) under the proxy trace tr, so
+// the peer's handler segment joins the same 128-bit trace id. The hop is
+// recorded on tr as a `forward` span carrying the peer, the epoch it was
+// sent under, and its outcome. A transport error, deadline miss, or
+// epoch-mismatch 421 returns with nothing written — the caller can still
+// hedge, re-resolve, or serve locally; any other upstream answer is
+// relayed as-is. Each attempt's outcome feeds the target's breaker,
+// except when the caller itself gave up (its error, not the peer's).
+func (rt *Router) tryForward(w http.ResponseWriter, r *http.Request, target string, body []byte, tr *obs.Trace) fwdStatus {
+	start := time.Now()
+	sp := tr.Start("forward")
+	sp.SetAttr("peer", target)
+	sp.SetAttr("epoch", strconv.FormatUint(rt.view().Epoch, 10))
+	observe := func() { hProxyLatUS.With(target).Observe(float64(time.Since(start).Microseconds())) }
+	outcome, status := "error", fwdFail
+	_, err := rt.peerCall(obs.WithTrace(r.Context(), tr), target, peerReq{
+		kind: kindForward, method: r.Method, path: r.URL.RequestURI(),
+		header: r.Header.Clone(), body: body,
+		relay: func(resp *http.Response) {
+			observe()
+			rt.peerDone(target, nil)
+			if resp.StatusCode == http.StatusMisdirectedRequest && resp.Header.Get(epochHeader) != "" {
+				outcome, status = "misdirected", fwdMisdirected
+				return
+			}
+			// Drop the local node stamp so the relayed response keeps the
+			// serving replica's — the header names whoever produced the body.
+			w.Header().Del(nodeHeader)
+			for k, vs := range resp.Header {
+				for _, v := range vs {
+					w.Header().Add(k, v)
+				}
+			}
+			w.WriteHeader(resp.StatusCode)
+			_, _ = io.Copy(w, resp.Body)
+			outcome, status = "ok", fwdOK
+			sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
+		},
+	})
+	if err != nil {
+		observe()
+		if errors.Is(err, context.DeadlineExceeded) {
 			outcome = "timeout" // attempt deadline fired: peer presumed partitioned
 		}
-		mProxyVec.With(target, outcome).Inc()
-		sp.SetAttr("outcome", outcome)
-		sp.Fail(err)
 		if r.Context().Err() == nil {
 			rt.peerDone(target, err)
 		}
-		return fwdFail
 	}
-	rt.peerDone(target, nil)
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusMisdirectedRequest && resp.Header.Get(epochHeader) != "" {
-		io.Copy(io.Discard, resp.Body)
-		mProxyVec.With(target, "misdirected").Inc()
-		sp.SetAttr("outcome", "misdirected")
-		sp.End()
-		return fwdMisdirected
-	}
-	// Drop the local node stamp so the relayed response keeps the serving
-	// replica's — the header names whoever produced the body.
-	w.Header().Del(nodeHeader)
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-	mProxyVec.With(target, "ok").Inc()
-	sp.SetAttr("outcome", "ok")
-	sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
-	sp.End()
-	return fwdOK
+	mProxyVec.With(target, outcome).Inc()
+	sp.SetAttr("outcome", outcome)
+	sp.Fail(err)
+	return status
 }
 
 // markDown updates one node's health, logging transitions. A down→up
@@ -684,23 +741,13 @@ func (rt *Router) probePeers() {
 		if node == rt.cfg.Self {
 			continue
 		}
-		resp, err := rt.probe.Get(node + "/healthz")
-		up := err == nil && resp.StatusCode == http.StatusOK
+		ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.HealthInterval)
 		var hz HealthzResponse
-		if resp != nil {
-			if up {
-				_ = json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&hz)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		if up {
-			rt.peerDone(node, nil)
-		} else {
-			rt.peerDone(node, errPeerProbe)
-		}
-		rt.markDown(node, !up)
-		if up && (hz.Epoch > v.Epoch || (hz.Epoch == v.Epoch && hz.MembersHash != "" && hz.MembersHash != v.Hash())) {
+		_, err := rt.peerGet(ctx, node, "/healthz", &hz)
+		cancel()
+		rt.peerDone(node, err)
+		rt.markDown(node, err != nil)
+		if err == nil && (hz.Epoch > v.Epoch || (hz.Epoch == v.Epoch && hz.MembersHash != "" && hz.MembersHash != v.Hash())) {
 			rt.pullViewFrom(node)
 			v = rt.view()
 		}
@@ -724,13 +771,7 @@ func (rt *Router) evictNotOwned() {
 		return // Drain's handoff loop owns eviction while draining
 	}
 	s := rt.srv
-	s.mu.RLock()
-	ids := make([]string, 0, len(s.sessions))
-	for id := range s.sessions {
-		ids = append(ids, id)
-	}
-	s.mu.RUnlock()
-	for _, id := range ids {
+	for _, id := range s.LocalIDs() {
 		owner, _ := rt.ownerFor(id)
 		if owner == "" || owner == rt.cfg.Self {
 			continue

@@ -2,13 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/store"
 )
@@ -245,5 +249,115 @@ func TestRouterFailoverHydration(t *testing.T) {
 	}
 	if st := sess.Status(); st.Windows != len(u.Maps) {
 		t.Fatalf("hydrated session windows = %d, want %d", st.Windows, len(u.Maps))
+	}
+}
+
+// TestPeerCall pins the one inter-replica request path: every call kind
+// carries its kind header and the caller's traceparent (the view pull
+// included), a non-200 answer is an error whose body is drained so the
+// keep-alive connection is reused, an oversize body is cut at peerBodyCap
+// rather than read to the end, and the per-attempt deadline fails a peer
+// that does not answer.
+func TestPeerCall(t *testing.T) {
+	const self = "http://self"
+	var mu sync.Mutex
+	var lastHdr http.Header
+	var lastConn, lastPath string
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		lastHdr, lastConn, lastPath = r.Header.Clone(), r.RemoteAddr, r.URL.Path
+		mu.Unlock()
+		switch r.URL.Path {
+		case "/slow":
+			select {
+			case <-r.Context().Done():
+			case <-time.After(5 * time.Second):
+			}
+		case "/refuse":
+			w.WriteHeader(http.StatusTeapot)
+			_, _ = w.Write(bytes.Repeat([]byte("x"), 64<<10))
+		case "/huge":
+			_, _ = w.Write([]byte(`{"hash":"` + strings.Repeat("x", peerBodyCap) + `"}`))
+		default:
+			writeJSON(w, http.StatusOK, membershipView{Epoch: 1, Members: []string{self}})
+		}
+	}))
+	defer peer.Close()
+	seen := func() (http.Header, string, string) {
+		mu.Lock()
+		defer mu.Unlock()
+		return lastHdr, lastConn, lastPath
+	}
+
+	// A one-member ring: the janitor has no peer to probe, so every request
+	// the test peer sees is one the test made.
+	rt := NewRouter(newTestServer(t, Config{}), RouterConfig{
+		Self: self, Ring: shard.New([]string{self}, 0), ForwardAttemptTimeout: 200 * time.Millisecond,
+	})
+	defer rt.Stop()
+	tr := obs.NewTrace("test.peercall")
+	ctx := obs.WithTrace(context.Background(), tr)
+
+	cases := []struct {
+		name       string
+		rq         peerReq
+		wantStatus int
+		wantErr    bool
+		wantReuse  bool // served on the previous case's connection
+		check      func(t *testing.T, err error, out membershipView)
+	}{
+		{name: "federated get decodes", wantStatus: 200,
+			rq: peerReq{kind: kindFederated, method: http.MethodGet, path: "/v1/membership"},
+			check: func(t *testing.T, _ error, out membershipView) {
+				if out.Epoch != 1 || len(out.Members) != 1 {
+					t.Errorf("decoded %+v", out)
+				}
+			}},
+		{name: "non-200 is an error", wantStatus: http.StatusTeapot, wantErr: true, wantReuse: true,
+			rq: peerReq{kind: kindFederated, method: http.MethodGet, path: "/refuse"}},
+		{name: "forward after a drained refusal", wantStatus: 200, wantReuse: true,
+			rq: peerReq{kind: kindForward, method: http.MethodPost, path: "/v1/rehydrate", body: []byte(`{"id":"s1"}`)}},
+		{name: "oversize body is bounded", wantStatus: 200, wantErr: true,
+			rq: peerReq{kind: kindFederated, method: http.MethodGet, path: "/huge"}},
+		{name: "attempt deadline", wantErr: true,
+			rq: peerReq{kind: kindFederated, method: http.MethodGet, path: "/slow"},
+			check: func(t *testing.T, err error, _ membershipView) {
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("err = %v, want the attempt deadline", err)
+				}
+			}},
+	}
+	prevConn := ""
+	for _, tc := range cases {
+		var out membershipView
+		tc.rq.out = &out
+		status, err := rt.peerCall(ctx, peer.URL, tc.rq)
+		if status != tc.wantStatus || (err != nil) != tc.wantErr {
+			t.Errorf("%s: peerCall = (%d, %v), want status %d, error %v", tc.name, status, err, tc.wantStatus, tc.wantErr)
+		}
+		hdr, conn, _ := seen()
+		if hdr.Get(string(tc.rq.kind)) != self || hdr.Get("traceparent") != tr.Traceparent() {
+			t.Errorf("%s: peer saw kind header %q, traceparent %q", tc.name, hdr.Get(string(tc.rq.kind)), hdr.Get("traceparent"))
+		}
+		if (tc.rq.kind == kindForward) != (hdr.Get(epochHeader) != "") {
+			t.Errorf("%s: epoch header %q on kind %s", tc.name, hdr.Get(epochHeader), tc.rq.kind)
+		}
+		if tc.wantReuse && conn != prevConn {
+			t.Errorf("%s: served on a new connection %s, want %s reused", tc.name, conn, prevConn)
+		}
+		if tc.check != nil {
+			tc.check(t, err, out)
+		}
+		prevConn = conn
+	}
+
+	// The view pull goes through the same path under its own rpc trace.
+	rt.pullViewFrom(peer.URL)
+	hdr, _, path := seen()
+	if path != "/v1/membership" || hdr.Get(federationHeader) != self {
+		t.Fatalf("view pull: peer saw %s with federation header %q", path, hdr.Get(federationHeader))
+	}
+	if _, _, ok := obs.ParseTraceparent(hdr.Get("traceparent")); !ok {
+		t.Fatalf("view pull carried no traceparent: %q", hdr.Get("traceparent"))
 	}
 }

@@ -30,9 +30,10 @@
 //     when a cluster's breaker opens its sessions are served from the
 //     shared cluster baseline (degraded mode) until a half-open probe
 //     succeeds; every inference carries a context deadline (typed
-//     ErrTimeout); and the session registry can snapshot to disk and
-//     restore after a crash, with restored sessions re-entering monitoring
-//     on the cluster baseline until their labels replay a fine-tune.
+//     ErrTimeout); and with a durable store every session is written
+//     through as one record per lifecycle mutation and restored after a
+//     crash — resuming personalised from its persisted checkpoint, or on
+//     the cluster baseline until its labels replay a fine-tune.
 //
 // Everything is instrumented through internal/obs: serve.sessions gauge,
 // serve.batch_size histogram, serve.queue_depth gauge, per-window latency
@@ -89,7 +90,7 @@ var (
 	// damage could not be repaired from the session's history (mapped to
 	// 422).
 	ErrCorruptWindow = errors.New("serve: corrupt window")
-	// ErrBadSnapshot reports a malformed session-registry snapshot.
+	// ErrBadSnapshot reports a malformed stored session record.
 	ErrBadSnapshot = errors.New("serve: bad session snapshot")
 	// ErrTraceNotFound reports a trace id absent from the trace store
 	// (never recorded, shed by tail-sampling, or already evicted).
@@ -142,7 +143,10 @@ var (
 func clusterLabel(k int) string { return strconv.Itoa(k) }
 
 // Config parameterises a Server. The zero value is usable: every field
-// defaults to something sensible for a laptop-scale deployment.
+// defaults to something sensible for a laptop-scale deployment. A field
+// exists where two callers need different values (the binaries, the drift
+// experiment, a test provoking a condition) or it is a deployment setting;
+// a value with one user is a constant next to the code that reads it.
 type Config struct {
 	// MaxSessions caps live (non-closed) sessions; creation beyond it
 	// sheds with ErrOverloaded. Default 1024.
@@ -151,41 +155,27 @@ type Config struct {
 	// many raw feature maps the session retains — the per-session memory
 	// bound. Creation beyond it is ErrBadRequest. Default 4096.
 	MaxWindows int
-	// AssignFrac is the default unlabeled budget fraction that triggers
-	// cold-start assignment (the paper's 10 %). Sessions may override it
-	// at creation. Default 0.10.
-	AssignFrac float64
 	// Device is the simulated execution platform sessions run on (sets
 	// numeric precision and the monitor's latency/energy model).
 	// Default edge.GPU() (native precision).
 	Device edge.Device
-	// MaxBatch and MaxDelay bound the executor's coalescing: a minibatch
-	// dispatches when MaxBatch requests are pending or the oldest has
-	// waited MaxDelay. Defaults 16 and 2ms.
-	MaxBatch int
+	// MaxDelay bounds the executor's coalescing: a minibatch dispatches
+	// when 16 requests are pending or the oldest has waited MaxDelay.
+	// Default 2ms.
 	MaxDelay time.Duration
-	// QueueDepth bounds the executor's pending-request queue; submissions
-	// beyond it shed. Default 256.
-	QueueDepth int
-	// InferConcurrency bounds how many model groups execute at once.
-	// Default GOMAXPROCS.
-	InferConcurrency int
 	// FineTuneWorkers and FineTuneQueue size the personalisation pool.
 	// Defaults 2 and 32.
 	FineTuneWorkers int
 	FineTuneQueue   int
-	// CacheSize caps the fine-tuned checkpoint LRU. Default 64.
-	CacheSize int
 
 	// FineTuneRetries is the total build attempts per queued fine-tune
 	// job (first try + retries), with capped exponential backoff between
 	// attempts. Default 3.
 	FineTuneRetries int
 	// FineTuneBackoff is the base backoff before the first retry; each
-	// further retry doubles it, capped at FineTuneBackoffCap, with ±50 %
-	// jitter. Defaults 25ms and 1s.
-	FineTuneBackoff    time.Duration
-	FineTuneBackoffCap time.Duration
+	// further retry doubles it, capped at 1s, with ±50 % jitter. Default
+	// 25ms.
+	FineTuneBackoff time.Duration
 	// BreakerThreshold and BreakerCooldown parameterise the per-cluster
 	// circuit breaker over fine-tune builds: after Threshold consecutive
 	// failures the cluster's breaker opens for Cooldown, during which its
@@ -194,12 +184,6 @@ type Config struct {
 	// Defaults 3 and 5s.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// InferTimeout is the default per-window inference deadline applied
-	// when the caller's context carries none. Default 10s.
-	InferTimeout time.Duration
-	// WatchdogFactor scales InferTimeout into the executor's stalled-pass
-	// watchdog. Default 1 (watchdog = InferTimeout).
-	WatchdogFactor float64
 
 	// Self-healing assignment (see drift.go). DriftWindow is the rolling
 	// evidence ring size in windows; DriftThreshold the relative score
@@ -215,13 +199,13 @@ type Config struct {
 	DriftDisabled    bool
 
 	// Store, when non-nil, enables durable session persistence through
-	// internal/store: sessions are written through on every lifecycle
-	// mutation (create, retained window, labels, assignment, fine-tune,
-	// close), flushed wholesale every SnapshotInterval (default 10s) and
-	// once more on Shutdown, and hydrated back on boot (RestoreAll) or on
-	// demand when a request reaches a replica that doesn't hold the
-	// session live (migration after a topology change). Fine-tuned models
-	// persist alongside as content-addressed checkpoint blobs.
+	// internal/store: each session is written through, as one record, on
+	// every lifecycle mutation (create, retained window, labels,
+	// assignment, fine-tune, close), flushed again every SnapshotInterval
+	// (default 10s) and on Shutdown, and hydrated back on boot
+	// (RestoreAll) or on demand when a request reaches a replica that
+	// doesn't hold the session live (migration after a topology change).
+	// Fine-tuned models persist alongside as content-addressed blobs.
 	Store store.Store
 	// Self identifies this replica as a lease owner in Store (fine-tune
 	// leases) and as the advertised node name in router mode. Default
@@ -235,9 +219,6 @@ type Config struct {
 	OwnsID func(id string) bool
 	// SnapshotInterval is the periodic FlushAll cadence when Store is set.
 	SnapshotInterval time.Duration
-	// FineTuneLeaseTTL bounds how long a crashed replica's fine-tune lease
-	// can wedge a session. Default 30s.
-	FineTuneLeaseTTL time.Duration
 	// Write-behind durability (writebehind.go), active when Store is set:
 	// StoreBreakerThreshold consecutive persist failures open the
 	// store-health breaker for StoreBreakerCooldown (persists then skip
@@ -249,43 +230,27 @@ type Config struct {
 	StoreBreakerCooldown  time.Duration
 	ReplayQueueCap        int
 
-	// TraceCapacity bounds the in-memory request-trace store (FIFO
-	// eviction); TraceOKPerSec is the tail-sampling budget for successful
-	// traces — errored traces are always kept. Defaults 4096 and 64.
-	TraceCapacity int
-	TraceOKPerSec int
-	// FlightEvents sizes each session's flight-recorder ring. Default 64.
-	FlightEvents int
-	// JournalEvents sizes the node's cluster event journal ring (the
-	// operator-grade membership/breaker/chaos/SLO event log served at
-	// /v1/events and merged into /v1/fleet). Default 256.
-	JournalEvents int
-
 	// SLO engine (internal/obs/slo.go): a multi-window burn-rate tracker
 	// over the serving HTTP metrics (availability = non-5xx fraction,
 	// latency = fraction of requests under SLOLatencyBoundUS), served at
 	// /v1/slo. On a fast burn the server captures CPU/heap pprof profiles
 	// into the bounded on-disk ring at ProfileDir (disabled when empty)
-	// and stamps an always-kept "slo.breach" trace. SLODisabled turns the
-	// tracker off. Defaults: availability 0.999, latency bound 262144µs
-	// (a http_latency_us bucket edge) at target 0.99, windows 30s/5m,
-	// fast-burn 10, interval 1s, min events 10.
-	SLODisabled       bool
-	SLOAvailability   float64
+	// and stamps an always-kept "slo.breach" trace. The objectives are
+	// fixed (availability 0.999; 99 % of requests under the latency bound;
+	// fast burn at 10× budget); the tunables are the latency bound
+	// (default 262144µs, a http_latency_us bucket edge), the windows
+	// (30s/5m), the sampling interval (1s) and the event floor (10).
 	SLOLatencyBoundUS float64
-	SLOLatencyTarget  float64
 	SLOShortWindow    time.Duration
 	SLOLongWindow     time.Duration
-	SLOFastBurn       float64
 	SLOInterval       time.Duration
 	SLOMinEvents      int64
 
 	// Triggered profile capture (internal/obs/profcap.go). ProfileDir
-	// empty disables capture; ProfileMax bounds the on-disk ring (default
-	// 8 pairs); ProfileCPUDur is the CPU profile length (default 250ms);
+	// empty disables capture; the on-disk ring holds 8 cpu+heap pairs;
+	// ProfileCPUDur is the CPU profile length (default 250ms);
 	// ProfileMinGap the storm guard between captures (default 10s).
 	ProfileDir    string
-	ProfileMax    int
 	ProfileCPUDur time.Duration
 	ProfileMinGap time.Duration
 
@@ -312,23 +277,11 @@ func (c *Config) fillDefaults() {
 	if c.MaxWindows == 0 {
 		c.MaxWindows = 4096
 	}
-	if c.AssignFrac == 0 {
-		c.AssignFrac = 0.10
-	}
 	if c.Device.Name == "" {
 		c.Device = edge.GPU()
 	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 16
-	}
 	if c.MaxDelay == 0 {
 		c.MaxDelay = 2 * time.Millisecond
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 256
-	}
-	if c.InferConcurrency == 0 {
-		c.InferConcurrency = runtime.GOMAXPROCS(0)
 	}
 	if c.FineTuneWorkers == 0 {
 		c.FineTuneWorkers = 2
@@ -336,29 +289,17 @@ func (c *Config) fillDefaults() {
 	if c.FineTuneQueue == 0 {
 		c.FineTuneQueue = 32
 	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 64
-	}
 	if c.FineTuneRetries == 0 {
 		c.FineTuneRetries = 3
 	}
 	if c.FineTuneBackoff == 0 {
 		c.FineTuneBackoff = 25 * time.Millisecond
 	}
-	if c.FineTuneBackoffCap == 0 {
-		c.FineTuneBackoffCap = time.Second
-	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 3
 	}
 	if c.BreakerCooldown == 0 {
 		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.InferTimeout == 0 {
-		c.InferTimeout = 10 * time.Second
-	}
-	if c.WatchdogFactor == 0 {
-		c.WatchdogFactor = 1
 	}
 	if c.DriftWindow == 0 {
 		c.DriftWindow = 8
@@ -378,9 +319,6 @@ func (c *Config) fillDefaults() {
 	if c.Self == "" {
 		c.Self = "local"
 	}
-	if c.FineTuneLeaseTTL == 0 {
-		c.FineTuneLeaseTTL = 30 * time.Second
-	}
 	if c.StoreBreakerThreshold == 0 {
 		c.StoreBreakerThreshold = 3
 	}
@@ -390,37 +328,14 @@ func (c *Config) fillDefaults() {
 	if c.ReplayQueueCap == 0 {
 		c.ReplayQueueCap = 256
 	}
-	if c.TraceCapacity == 0 {
-		c.TraceCapacity = 4096
-	}
-	if c.TraceOKPerSec == 0 {
-		c.TraceOKPerSec = 64
-	}
-	if c.FlightEvents == 0 {
-		c.FlightEvents = 64
-	}
-	if c.JournalEvents == 0 {
-		c.JournalEvents = 256
-	}
 	if c.SLOLatencyBoundUS == 0 {
 		c.SLOLatencyBoundUS = 262_144 // 2^18 µs, an ExpBuckets(1,2,26) edge
-	}
-	if c.SLOShortWindow == 0 {
-		c.SLOShortWindow = 30 * time.Second
 	}
 	if c.SLOLongWindow == 0 {
 		c.SLOLongWindow = 5 * time.Minute
 	}
-	if c.SLOInterval == 0 {
-		c.SLOInterval = time.Second
-	}
-	// Remaining SLO fields default inside obs.SLOConfig.fillDefaults.
-	if c.ProfileMax == 0 {
-		c.ProfileMax = 8
-	}
-	if c.ProfileCPUDur == 0 {
-		c.ProfileCPUDur = 250 * time.Millisecond
-	}
+	// The other SLO fields and ProfileCPUDur take their defaults inside
+	// obs (SLOConfig.fillDefaults, NewProfileCapturer).
 	if c.ProfileMinGap == 0 {
 		c.ProfileMinGap = 10 * time.Second
 	}
@@ -455,8 +370,8 @@ type Server struct {
 	// GET /v1/events (and the per-node segment of the /v1/fleet merge).
 	journal *obs.Journal
 
-	// slo is the burn-rate tracker behind /v1/slo (nil when disabled);
-	// profcap the triggered pprof ring (nil when ProfileDir unset).
+	// slo is the burn-rate tracker behind /v1/slo; profcap the triggered
+	// pprof ring (nil when ProfileDir unset).
 	// sloEvents remembers the last few breach/capture events.
 	slo       *obs.SLOTracker
 	profcap   *obs.ProfileCapturer
@@ -521,6 +436,16 @@ type ftJob struct {
 	k int
 }
 
+// Fixed sizes of the shared serving machinery New builds.
+const (
+	execMaxBatch   = 16   // executor minibatch bound
+	execQueueDepth = 256  // executor pending-request queue; beyond it submissions shed
+	modelCacheSize = 64   // fine-tuned checkpoint LRU capacity
+	traceCapacity  = 4096 // request-trace store (FIFO eviction)
+	traceOKPerSec  = 64   // tail-sampling budget for successful traces; errored ones are always kept
+	journalEvents  = 256  // cluster event journal ring behind /v1/events
+)
+
 // New builds a server over a trained pipeline. The pipeline must have
 // models (core.Train or core.Load output, not ClusterOnly).
 func New(pipe *core.Pipeline, cfg Config) (*Server, error) {
@@ -552,13 +477,13 @@ func New(pipe *core.Pipeline, cfg Config) (*Server, error) {
 		s.gBreaker[k] = gBreakerVec.With(clusterLabel(k))
 		s.gBreaker[k].Set(float64(BreakerClosed))
 	}
-	s.traces = obs.NewTraceStore(cfg.TraceCapacity, float64(cfg.TraceOKPerSec))
-	s.journal = obs.NewJournal(cfg.Self, cfg.JournalEvents)
+	s.traces = obs.NewTraceStore(traceCapacity, traceOKPerSec)
+	s.journal = obs.NewJournal(cfg.Self, journalEvents)
 	obs.PublishNodeInfo(cfg.Self)
-	s.exec = NewExecutor(cfg.MaxBatch, cfg.MaxDelay, cfg.QueueDepth, cfg.InferConcurrency)
-	s.exec.SetWatchdog(time.Duration(float64(cfg.InferTimeout) * cfg.WatchdogFactor))
+	s.exec = NewExecutor(execMaxBatch, cfg.MaxDelay, execQueueDepth, runtime.GOMAXPROCS(0))
+	s.exec.SetWatchdog(inferTimeout)
 	s.exec.SetFault(cfg.Fault)
-	s.cache = NewModelCache(cfg.CacheSize)
+	s.cache = NewModelCache(modelCacheSize)
 	for i := 0; i < cfg.FineTuneWorkers; i++ {
 		s.ftWG.Add(1)
 		go s.fineTuneWorker()
@@ -573,9 +498,6 @@ func New(pipe *core.Pipeline, cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Pipeline returns the shared pipeline the server serves from.
-func (s *Server) Pipeline() *core.Pipeline { return s.pipe }
 
 // SetClusterArchetypes records the dominant ground-truth archetype per
 // cluster (a synthetic-data diagnostic exposed through Stats so load
@@ -647,7 +569,9 @@ func (s *Server) buildLeased(ctx context.Context, job ftJob) (*nn.Model, error) 
 	if s.cfg.Store == nil {
 		return s.buildWithRetry(ctx, job)
 	}
-	lease, err := s.cfg.Store.Lock(ctx, "ft:"+job.s.id, s.cfg.Self, s.cfg.FineTuneLeaseTTL)
+	// The TTL bounds how long a crashed replica's lease can wedge a session.
+	const leaseTTL = 30 * time.Second
+	lease, err := s.cfg.Store.Lock(ctx, "ft:"+job.s.id, s.cfg.Self, leaseTTL)
 	if errors.Is(err, store.ErrLocked) {
 		job.s.record(ctx, evFTSuppressed, "cluster=%d fine-tune leased to another replica", job.k)
 		mFTSuppressed.Inc()
@@ -702,9 +626,10 @@ func (s *Server) buildWithRetry(ctx context.Context, job ftJob) (*nn.Model, erro
 // sleepBackoff waits out the attempt-th backoff (base·2^(attempt−1) capped,
 // ±50 % jitter), returning false if the server began draining first.
 func (s *Server) sleepBackoff(attempt int) bool {
+	const backoffCap = time.Second
 	d := s.cfg.FineTuneBackoff << (attempt - 1)
-	if d > s.cfg.FineTuneBackoffCap || d <= 0 {
-		d = s.cfg.FineTuneBackoffCap
+	if d > backoffCap || d <= 0 {
+		d = backoffCap
 	}
 	s.jmu.Lock()
 	d = d/2 + time.Duration(s.jrand.Int63n(int64(d)))
@@ -739,9 +664,9 @@ func (s *Server) enqueueFineTune(job ftJob) error {
 // CreateSession registers a new user session. expectedWindows is how many
 // signal windows the client intends to stream in total (it sizes the
 // unlabeled assignment budget and caps how many raw maps the session
-// retains; it must not exceed Config.MaxWindows); assignFrac overrides
-// Config.AssignFrac when positive. userID is an opaque client-chosen
-// identifier echoed in status output.
+// retains; it must not exceed Config.MaxWindows); assignFrac overrides the
+// paper's 10 % unlabeled budget when positive. userID is an opaque
+// client-chosen identifier echoed in status output.
 func (s *Server) CreateSession(userID int, expectedWindows int, assignFrac float64) (*Session, error) {
 	return s.CreateSessionCtx(context.Background(), userID, expectedWindows, assignFrac)
 }
@@ -760,7 +685,7 @@ func (s *Server) CreateSessionCtx(ctx context.Context, userID int, expectedWindo
 		return nil, fmt.Errorf("%w: assign_frac must be in [0,1]", ErrBadRequest)
 	}
 	if assignFrac == 0 {
-		assignFrac = s.cfg.AssignFrac
+		assignFrac = 0.10 // the paper's unlabeled cold-start budget
 	}
 	if s.wb != nil && s.wb.saturated() {
 		// Durability admission control: the replay queue is full, so a new
@@ -853,21 +778,11 @@ func (s *Server) CloseSession(id string) error {
 
 // CloseSessionCtx is CloseSession with request-scoped tracing.
 func (s *Server) CloseSessionCtx(ctx context.Context, id string) error {
-	s.mu.Lock()
-	sess, ok := s.sessions[id]
-	if ok {
-		delete(s.sessions, id)
-		gSessions.Set(float64(len(s.sessions)))
-	}
-	s.mu.Unlock()
-	if !ok {
+	sess := s.detach(id)
+	if sess == nil {
 		return fmt.Errorf("%w: %q", ErrSessionNotFound, id)
 	}
 	sess.record(ctx, evClosed, "")
-	sess.close()
-	if m := s.cache.Remove(sess.id); m != nil {
-		s.exec.Forget(m)
-	}
 	if s.cfg.Store != nil {
 		// A closed session's lifecycle is complete: drop its durable
 		// record and manifest (shared blobs stay — other sessions may
@@ -880,9 +795,7 @@ func (s *Server) CloseSessionCtx(ctx context.Context, id string) error {
 		if err := s.cfg.Store.DeleteCheckpoint(ctx, id); err != nil {
 			s.notePersistFailure(ctx, sess, "delete_checkpoint", err)
 		}
-		if s.wb != nil {
-			s.wb.remove(id)
-		}
+		s.wb.remove(id)
 	}
 	return nil
 }
@@ -893,6 +806,13 @@ func (s *Server) CloseSessionCtx(ctx context.Context, id string) error {
 // (the new owner hydrates from the store), so eviction must not destroy
 // the very state the new owner hydrates from. Callers persist first.
 func (s *Server) evictSession(id string) bool {
+	return s.detach(id) != nil
+}
+
+// detach removes id from the live registry, closes the session and
+// releases its cached fine-tuned checkpoint, leaving the durable record
+// alone. It returns the session, or nil when id is not live.
+func (s *Server) detach(id string) *Session {
 	s.mu.Lock()
 	sess, ok := s.sessions[id]
 	if ok {
@@ -901,13 +821,13 @@ func (s *Server) evictSession(id string) bool {
 	}
 	s.mu.Unlock()
 	if !ok {
-		return false
+		return nil
 	}
 	sess.close()
 	if m := s.cache.Remove(id); m != nil {
 		s.exec.Forget(m)
 	}
-	return true
+	return sess
 }
 
 // Shutdown drains the server: no new sessions, the fine-tune pool finishes
@@ -928,9 +848,7 @@ func (s *Server) Shutdown() {
 	s.ftMu.Unlock()
 	s.ftWG.Wait()
 	s.exec.Close()
-	if s.slo != nil {
-		s.slo.Stop()
-	}
+	s.slo.Stop()
 	s.snapWG.Wait()
 	// A departing replica's final flush is the migration handoff: every
 	// hot session lands in the store so the next owner hydrates it.
@@ -1080,20 +998,15 @@ func (s *Server) Stats() Stats {
 	if s.cfg.Store != nil {
 		ss := s.cfg.Store.Stats()
 		st.Store = &ss
-	}
-	if s.wb != nil {
 		st.WriteBehind = s.wb.statsSnap()
 	}
 	s.shardMu.Lock()
 	fn := s.shardFn
-	mfn := s.membFn
 	s.shardMu.Unlock()
 	if fn != nil {
 		st.Shard = fn()
 	}
-	if mfn != nil {
-		st.Membership = mfn()
-	}
+	st.Membership = s.membershipStats()
 	return st
 }
 

@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/wemac"
 )
 
@@ -283,6 +284,34 @@ func TestConcurrentLifecycles(t *testing.T) {
 	wg.Wait()
 	if n := srv.Stats().Sessions; n != 0 {
 		t.Fatalf("%d sessions left open after all lifecycles closed", n)
+	}
+}
+
+// TestUntracedWindowsLeaveBackgroundTraceAlone is the span-leak
+// regression: windows pushed in-process with no request trace (assignment
+// and every drift re-score included) must not append spans to obs's
+// background trace, which is never finished and so never freed.
+func TestUntracedWindowsLeaveBackgroundTraceAlone(t *testing.T) {
+	_, users := fixture(t)
+	srv := newTestServer(t, Config{MaxDelay: 500 * time.Microsecond, DriftWindow: 2})
+	u := users[1]
+	sess, err := srv.CreateSession(u.ID, len(u.Maps), 0.1)
+	if err != nil {
+		t.Fatalf("CreateSession: %v", err)
+	}
+	before := len(obs.BackgroundTrace().Snapshot().Spans)
+	for pass := 0; pass < 3; pass++ {
+		for i, lm := range u.Maps {
+			if _, err := sess.PushWindow(lm.Map); err != nil {
+				t.Fatalf("PushWindow %d: %v", i, err)
+			}
+		}
+	}
+	if st := sess.Status(); st.Drift == nil {
+		t.Fatal("the drift detector never re-scored a window")
+	}
+	if n := len(obs.BackgroundTrace().Snapshot().Spans) - before; n != 0 {
+		t.Fatalf("%d spans leaked onto the background trace over %d windows", n, 3*len(u.Maps))
 	}
 }
 

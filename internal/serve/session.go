@@ -142,7 +142,7 @@ func newSession(srv *Server, id string, userID, expected int, frac float64) *Ses
 		labels:      map[int]int{},
 		prevCluster: -1,
 		created:     time.Now(),
-		flight:      newFlightRecorder(srv.cfg.FlightEvents),
+		flight:      newFlightRecorder(),
 	}
 }
 
@@ -188,8 +188,13 @@ type WindowResult struct {
 	QueueWait time.Duration
 }
 
+// inferTimeout is the per-window inference deadline applied when the
+// caller's context carries none; it doubles as the executor's stalled-pass
+// watchdog.
+const inferTimeout = 10 * time.Second
+
 // PushWindow ingests one raw feature map with no caller deadline (the
-// server's default InferTimeout still applies to the inference).
+// server's inferTimeout still applies to the inference).
 func (s *Session) PushWindow(m *tensorT) (WindowResult, error) {
 	return s.PushWindowCtx(context.Background(), m)
 }
@@ -206,7 +211,7 @@ func (s *Session) PushWindow(m *tensorT) (WindowResult, error) {
 // channels are imputed from the session's retained history, and a corrupt
 // window with no history is rejected with ErrCorruptWindow. ctx bounds the
 // inference (ErrTimeout past its deadline); when it carries no deadline
-// the server's InferTimeout applies.
+// the server's inferTimeout applies.
 func (s *Session) PushWindowCtx(ctx context.Context, m *tensorT) (WindowResult, error) {
 	start := time.Now()
 	if m == nil || m.Rank() != 2 ||
@@ -222,7 +227,7 @@ func (s *Session) PushWindowCtx(ctx context.Context, m *tensorT) (WindowResult, 
 
 	// Stage attribution: the HTTP layer plants a StageTimer in ctx (and
 	// flushes it); direct in-process callers get a session-owned timer so
-	// the stage histograms cover embedded use (clear-bench) too.
+	// the stage histograms cover embedded use (bench/, clear-rt) too.
 	st := obs.StageTimerOf(ctx)
 	ownStages := false
 	if st == nil {
@@ -309,9 +314,9 @@ func (s *Session) PushWindowCtx(ctx context.Context, m *tensorT) (WindowResult, 
 		mDegradedInfer.Inc()
 	}
 
-	if _, has := ctx.Deadline(); !has && s.srv.cfg.InferTimeout > 0 {
+	if _, has := ctx.Deadline(); !has {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.srv.cfg.InferTimeout)
+		ctx, cancel = context.WithTimeout(ctx, inferTimeout)
 		defer cancel()
 	}
 	x := s.srv.pipe.Apply(m)

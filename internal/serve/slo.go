@@ -47,23 +47,20 @@ type SLOReport struct {
 // server config. Called once from New.
 func (s *Server) startSLO() error {
 	if s.cfg.ProfileDir != "" {
-		pc, err := obs.NewProfileCapturer(s.cfg.ProfileDir, s.cfg.ProfileMax, s.cfg.ProfileCPUDur)
+		const profileMax = 8 // capture ring size in cpu+heap pairs
+		pc, err := obs.NewProfileCapturer(s.cfg.ProfileDir, profileMax, s.cfg.ProfileCPUDur)
 		if err != nil {
 			return err
 		}
 		pc.SetMinGap(s.cfg.ProfileMinGap)
 		s.profcap = pc
 	}
-	if s.cfg.SLODisabled {
-		return nil
-	}
+	// The objectives themselves (availability 0.999, latency target 0.99,
+	// fast burn 10×) are obs.SLOConfig's defaults.
 	s.slo = obs.NewSLOTracker(obs.SLOConfig{
-		Availability:   s.cfg.SLOAvailability,
 		LatencyBoundUS: s.cfg.SLOLatencyBoundUS,
-		LatencyTarget:  s.cfg.SLOLatencyTarget,
 		ShortWindow:    s.cfg.SLOShortWindow,
 		LongWindow:     s.cfg.SLOLongWindow,
-		FastBurn:       s.cfg.SLOFastBurn,
 		Interval:       s.cfg.SLOInterval,
 		MinEvents:      s.cfg.SLOMinEvents,
 	}, sloSample(s.cfg.SLOLatencyBoundUS))
@@ -142,11 +139,8 @@ func (s *Server) onSLOBreach(st obs.SLOStatus) {
 
 // SLOReportNow snapshots the SLO surface (GET /v1/slo).
 func (s *Server) SLOReportNow() SLOReport {
-	rep := SLOReport{Enabled: s.slo != nil}
-	if s.slo != nil {
-		st := s.slo.Status()
-		rep.SLO = &st
-	}
+	st := s.slo.Status()
+	rep := SLOReport{Enabled: true, SLO: &st}
 	if s.profcap != nil {
 		rep.ProfileDir = s.profcap.Dir()
 		rep.Captures = s.profcap.List()

@@ -6,7 +6,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -18,23 +17,17 @@ import (
 	"repro/internal/tensor"
 )
 
-// Session persistence. Two encodings share the same per-session record
-// (sessSnap) and the repo's core.WriteHeader framing:
+// Session persistence. There is one record format: one record per session
+// (sessSnap under the repo's core.WriteHeader framing, magic "SESS",
+// followed by the retained feature maps), written through a store.Store
+// backend by persistSession and read back by hydrateSession. Sessions are
+// written through on every lifecycle mutation (create, retained window,
+// labels, assignment, fine-tune outcome, drift swap), so a replica crash —
+// or a consistent-hash handoff to another replica — loses nothing the
+// client was told we accepted. The periodic and SIGTERM flushes (FlushAll)
+// and the boot restore (RestoreAll) go through the same two functions.
 //
-//   - Registry snapshot (Snapshot/Restore): one stream, magic "SSNS",
-//     every live session in one header plus their retained feature maps.
-//     Kept for tests and for whole-registry export.
-//   - Store records (persistSession/hydrateSession): one record per
-//     session, magic "SESS", written through a store.Store backend. This
-//     is the production path: sessions are written through on every
-//     lifecycle mutation (create, retained window, labels, assignment,
-//     fine-tune outcome, drift swap), so a replica crash — or a
-//     consistent-hash handoff to another replica — loses nothing the
-//     client was told we accepted. The periodic/SIGTERM snapshot path
-//     routes through the same backend; there is no separate direct-file
-//     snapshot to diverge from the store.
-//
-// Snapshots carry everything a restart cannot recompute: lifecycle state,
+// Records carry everything a restart cannot recompute: lifecycle state,
 // the cold-start assignment, the label budget, and the retained raw maps
 // the labels index into. Fine-tuned weights live separately as
 // content-addressed checkpoint blobs (persistCheckpoint): each session's
@@ -44,14 +37,10 @@ import (
 // serving without replaying the fine-tune; one that doesn't demotes to
 // degraded baseline serving and replays labels, the PR 3/4 machinery.
 
-const (
-	// snapshotMagic frames whole-registry snapshots ("SSNS").
-	snapshotMagic uint32 = 0x534E5353
-	// sessionMagic frames one per-session store record ("SESS").
-	sessionMagic uint32 = 0x53455353
-)
+// sessionMagic frames one per-session store record ("SESS").
+const sessionMagic uint32 = 0x53455353
 
-// Snapshot telemetry.
+// Persistence telemetry.
 var (
 	mSnapshots    = obs.GetCounter("serve.snapshots")
 	mSnapshotErrs = obs.GetCounter("serve.snapshot_errors")
@@ -68,7 +57,7 @@ var (
 	mRehydrated    = obs.GetCounter("serve.sessions_rehydrated")
 )
 
-// sessSnap is one session's JSON record inside a snapshot header.
+// sessSnap is one session's JSON record inside a store record's header.
 type sessSnap struct {
 	ID       string      `json:"id"`
 	UserID   int         `json:"user_id"`
@@ -98,12 +87,6 @@ type sessSnap struct {
 	// Events is the session's flight-recorder ring at snapshot time, so a
 	// post-crash timeline spans the restart (absent in older snapshots).
 	Events []FlightEvent `json:"events,omitempty"`
-}
-
-// snapHeader is the whole-registry snapshot's JSON block.
-type snapHeader struct {
-	Seq      int64      `json:"seq"`
-	Sessions []sessSnap `json:"sessions"`
 }
 
 // sessRecHeader is the per-session store record's JSON block. Seq is the
@@ -159,99 +142,6 @@ func snapRecordLocked(sess *Session) (rec sessSnap, maps []*tensorT, ok bool) {
 	}
 	maps = append(maps, sess.maps...)
 	return rec, maps, true
-}
-
-// Snapshot serialises the live session registry to w. It holds each
-// session's lock only long enough to copy scalar state and map references;
-// closed sessions are skipped.
-func (s *Server) Snapshot(w io.Writer) error {
-	s.mu.RLock()
-	seq := s.seq
-	live := make([]*Session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		live = append(live, sess)
-	}
-	s.mu.RUnlock()
-
-	hdr := snapHeader{Seq: seq}
-	var maps []*tensorT
-	for _, sess := range live {
-		sess.mu.Lock()
-		rec, m, ok := snapRecordLocked(sess)
-		sess.mu.Unlock()
-		if !ok {
-			continue
-		}
-		rec.Events = sess.flight.events()
-		maps = append(maps, m...)
-		hdr.Sessions = append(hdr.Sessions, rec)
-	}
-
-	bw := bufio.NewWriter(w)
-	if err := core.WriteHeader(bw, snapshotMagic, hdr); err != nil {
-		return err
-	}
-	for _, m := range maps {
-		if _, err := m.WriteTo(bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Restore rebuilds the session registry from a snapshot written by
-// Snapshot, returning how many sessions were recovered. It must run before
-// the server takes traffic (it assumes an empty registry for the restored
-// IDs). Restored sessions keep their lifecycle position with one
-// deliberate demotion: anything past assignment re-enters StateAssigned on
-// the shared cluster baseline and sessions with merged labels immediately
-// re-queue a fine-tune, so personalisation replays from durable state.
-// (The store path, hydrateSession, improves on this by reloading the
-// persisted checkpoint when one exists.)
-func (s *Server) Restore(r io.Reader) (int, error) {
-	br := bufio.NewReader(r)
-	var hdr snapHeader
-	if err := core.ReadHeader(br, snapshotMagic, &hdr); err != nil {
-		if errors.Is(err, core.ErrBadHeader) {
-			return 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-		return 0, err
-	}
-	n := 0
-	for _, rec := range hdr.Sessions {
-		sess, err := s.restoreOne(br, rec)
-		if err != nil {
-			return n, err
-		}
-		s.mu.Lock()
-		s.sessions[sess.id] = sess
-		if hdr.Seq > s.seq {
-			s.seq = hdr.Seq
-		}
-		gSessions.Set(float64(len(s.sessions)))
-		s.mu.Unlock()
-		mRestored.Inc()
-		n++
-	}
-	return n, nil
-}
-
-// restoreOne reads one session's NMaps tensors from the snapshot stream
-// and materialises the session (no checkpoint: snapshots predate the
-// store's blob layer, so personalisation replays from labels).
-func (s *Server) restoreOne(br *bufio.Reader, rec sessSnap) (*Session, error) {
-	if rec.NMaps < 0 {
-		return nil, fmt.Errorf("%w: session %q has negative map count", ErrBadSnapshot, rec.ID)
-	}
-	maps := make([]*tensorT, 0, rec.NMaps)
-	for i := 0; i < rec.NMaps; i++ {
-		var t tensor.Tensor
-		if _, err := t.ReadFrom(br); err != nil {
-			return nil, fmt.Errorf("%w: session %q map %d: %v", ErrBadSnapshot, rec.ID, i, err)
-		}
-		maps = append(maps, &t)
-	}
-	return s.materializeSession(rec, maps, nil, 0)
 }
 
 // materializeSession rebuilds a Session from its record and retained
@@ -400,20 +290,18 @@ func (s *Server) persistSession(ctx context.Context, sess *Session) error {
 	}
 	stop := obs.StageTimerOf(ctx).Time(obs.StageStore)
 	defer stop()
-	if s.wb != nil && !s.wb.allow() {
+	if !s.wb.allow() {
 		// Store breaker open: skip the doomed round-trip (no latency tax
 		// on the request path) and queue for replay.
 		s.wb.defer_(ctx, sess)
 		return errPersistDeferred
 	}
 	err := s.persistSessionDirect(ctx, sess)
-	if s.wb != nil {
-		wbErr := err
-		if errors.Is(err, store.ErrFenced) {
-			wbErr = nil
-		}
-		s.wb.outcome(ctx, sess, wbErr)
+	wbErr := err
+	if errors.Is(err, store.ErrFenced) {
+		wbErr = nil
 	}
+	s.wb.outcome(ctx, sess, wbErr)
 	return err
 }
 
@@ -469,14 +357,8 @@ func (s *Server) persistSessionDirect(ctx context.Context, sess *Session) error 
 // every failed write-through lands in store_persist_failures{backend,op},
 // the session's flight recorder, and the structured log.
 func (s *Server) notePersistFailure(ctx context.Context, sess *Session, op string, err error) {
-	backend := "none"
-	if s.cfg.Store != nil {
-		backend = s.cfg.Store.Backend()
-	}
-	mPersistFailVec.With(backend, op).Inc()
-	if sess != nil {
-		sess.record(ctx, evPersistFail, "op=%s err=%v", op, err)
-	}
+	mPersistFailVec.With(s.cfg.Store.Backend(), op).Inc()
+	sess.record(ctx, evPersistFail, "op=%s err=%v", op, err)
 	obs.Log(ctx).Warn("store persist failed", "op", op, "err", err)
 }
 
@@ -525,6 +407,7 @@ func (s *Server) RestoreAll(ctx context.Context, owned func(id string) bool) (in
 			obs.Log(ctx).Warn("session restore failed", "session", id, "err", err)
 			continue
 		}
+		mRestored.Inc()
 		n++
 	}
 	return n, nil
@@ -589,27 +472,14 @@ func (s *Server) rehydrateSession(ctx context.Context, id string) (*Session, err
 	if s.cfg.Store == nil {
 		return nil, fmt.Errorf("%w: no store to rehydrate %q from", ErrSessionNotFound, id)
 	}
-	s.mu.Lock()
-	old, had := s.sessions[id]
-	if had {
-		delete(s.sessions, id)
-		gSessions.Set(float64(len(s.sessions)))
-	}
-	s.mu.Unlock()
 	staleWindows := -1
-	if had {
+	if old := s.detach(id); old != nil {
 		old.mu.Lock()
 		staleWindows = old.pushed
 		old.mu.Unlock()
-		old.close()
-		if m := s.cache.Remove(id); m != nil {
-			s.exec.Forget(m)
-		}
-		if s.wb != nil {
-			// A queued replay of the discarded copy must not run: its bytes
-			// are stale and a fenced store would reject them anyway.
-			s.wb.remove(id)
-		}
+		// A queued replay of the discarded copy must not run: its bytes
+		// are stale and a fenced store would reject them anyway.
+		s.wb.remove(id)
 	}
 	sess, err := s.hydrateSession(ctx, id)
 	if err != nil {
@@ -628,9 +498,6 @@ func (s *Server) rehydrateSession(ctx context.Context, id string) (*Session, err
 // the caller falls back to degraded baseline serving plus label replay,
 // so checkpoint corruption can never block hydration.
 func (s *Server) loadCheckpoint(ctx context.Context, id string, cluster int) (*nn.Model, int) {
-	if s.cfg.Store == nil {
-		return nil, 0
-	}
 	ck, err := s.cfg.Store.GetCheckpoint(ctx, id)
 	if err != nil {
 		return nil, 0
