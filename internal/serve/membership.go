@@ -16,9 +16,12 @@ package serve
 //     change safe against stragglers: a stale sender is refused with 421
 //     and re-resolves, a stale ex-owner's write loses at the store.
 //   - drain is the graceful exit: the replica sheds new-session creates
-//     (503 + Retry-After), leaves the ring, and hands off every local
-//     session — persist, notify the new owner to re-hydrate, evict —
-//     until none remain or DrainTimeout expires. Progress is visible in
+//     (503 + Retry-After), leaves the ring, then runs the janitor's
+//     hand-off pass until no session is local or DrainTimeout (30 s)
+//     expires. There is one hand-off, handOff: a write-through persist,
+//     then the notify to the new owner to re-hydrate, then the evict.
+//     drain_handed_off counts every eviction made while draining,
+//     whichever loop made it. Progress is visible in
 //     /v1/stats.membership; an incomplete drain is an explicit error
 //     (drain_incomplete), never a silent drop.
 
@@ -63,13 +66,11 @@ type MembershipStats struct {
 	DrainIncomplete bool `json:"drain_incomplete,omitempty"`
 }
 
-// drainState tracks graceful-drain progress for stats; remaining is
-// maintained by the drain loop (not read live from the registry) so
-// stats snapshots never touch Server.mu.
+// drainState tracks graceful-drain progress for stats. The remaining
+// count is not kept here: membStats reads it live from the registry.
 type drainState struct {
 	mu         sync.Mutex
 	active     bool
-	remaining  int
 	handedOff  int
 	failures   int
 	incomplete bool
@@ -106,27 +107,30 @@ func (rt *Router) membStats() *MembershipStats {
 	v := rt.view()
 	gRingEpoch.Set(float64(v.Epoch))
 	rt.drain.mu.Lock()
-	defer rt.drain.mu.Unlock()
-	return &MembershipStats{
+	ms := &MembershipStats{
 		Epoch:           v.Epoch,
 		Members:         v.Members,
 		Hash:            v.Hash(),
 		Draining:        rt.drain.active,
-		DrainRemaining:  rt.drain.remaining,
 		DrainHandedOff:  rt.drain.handedOff,
 		DrainFailures:   rt.drain.failures,
 		DrainIncomplete: rt.drain.incomplete,
 	}
+	rt.drain.mu.Unlock()
+	if ms.Draining {
+		ms.DrainRemaining = len(rt.srv.LocalIDs())
+	}
+	return ms
 }
 
 // Drain gracefully removes this replica from the cluster: shed creates,
-// leave the ring (bumping the epoch, broadcast to peers), then hand off
-// every local session — persist (fenced), notify its new owner to
-// re-hydrate from the store, evict — retrying failures until none remain
-// or the DrainTimeout bound (layered onto ctx) expires. Returns nil when
-// every session landed; an explicit drain-incomplete error otherwise —
-// the un-handed-off sessions stay live and keep serving. Idempotent: a
-// second call returns immediately (the first owns the loop).
+// leave the ring (bumping the epoch, broadcast to peers), then run the
+// janitor's hand-off pass (handOffNotOwned) until no session is local or
+// the DrainTimeout bound (layered onto ctx) expires, backing off 100 ms
+// after a pass that moved nothing. Returns nil when every session landed;
+// an explicit drain-incomplete error otherwise — the un-handed-off
+// sessions stay live and keep serving. Idempotent: a second call returns
+// immediately (the first owns the loop).
 func (rt *Router) Drain(ctx context.Context) error {
 	rt.drain.mu.Lock()
 	if rt.drain.active {
@@ -147,38 +151,26 @@ func (rt *Router) Drain(ctx context.Context) error {
 	defer cancel()
 
 	start := time.Now()
+	n := len(rt.srv.LocalIDs())
 	obs.Logger().Info("drain started", "self", rt.cfg.Self,
-		"sessions", len(rt.srv.LocalIDs()), "timeout", rt.cfg.DrainTimeout)
-	rt.srv.journal.Record(ctx, "drain", "started: %d sessions to hand off",
-		len(rt.srv.LocalIDs()))
+		"sessions", n, "timeout", rt.cfg.DrainTimeout)
+	rt.srv.journal.Record(ctx, "drain", "started: %d sessions to hand off", n)
 	for {
-		ids := rt.srv.LocalIDs()
-		rt.setDrainRemaining(len(ids))
-		if len(ids) == 0 {
+		rt.handoffMu.Lock()
+		progress := rt.handOffNotOwned(ctx)
+		rt.handoffMu.Unlock()
+		n = len(rt.srv.LocalIDs())
+		if n == 0 {
+			ms := rt.membStats()
 			obs.Logger().Info("drain complete", "self", rt.cfg.Self,
-				"handed_off", rt.drainHandedOff(), "elapsed", time.Since(start))
+				"handed_off", ms.DrainHandedOff, "elapsed", time.Since(start))
 			rt.srv.journal.Record(ctx, "drain", "complete: %d sessions handed off",
-				rt.drainHandedOff())
+				ms.DrainHandedOff)
 			return nil
-		}
-		progress := false
-		for _, id := range ids {
-			if ctx.Err() != nil {
-				break
-			}
-			if rt.drainOne(ctx, id) {
-				progress = true
-			}
-		}
-		ids = rt.srv.LocalIDs()
-		rt.setDrainRemaining(len(ids))
-		if len(ids) == 0 {
-			continue // loop once more to log completion
 		}
 		if ctx.Err() != nil {
 			rt.drain.mu.Lock()
 			rt.drain.incomplete = true
-			n := len(ids)
 			rt.drain.mu.Unlock()
 			obs.Logger().Error("drain incomplete", "self", rt.cfg.Self,
 				"remaining", n, "elapsed", time.Since(start))
@@ -196,65 +188,86 @@ func (rt *Router) Drain(ctx context.Context) error {
 	}
 }
 
-// drainOne hands one session off: persist → notify the new owner to
-// re-hydrate → evict. Any failed step leaves the session live (it keeps
-// serving here) and reports no progress so the drain loop retries it.
-func (rt *Router) drainOne(ctx context.Context, id string) bool {
-	s := rt.srv
-	s.mu.RLock()
-	sess := s.sessions[id]
-	s.mu.RUnlock()
-	if sess == nil {
-		return true // already gone
-	}
-	if s.cfg.Store != nil {
-		err := s.persistSessionDirect(ctx, sess)
-		if errors.Is(err, store.ErrFenced) {
-			err = nil // the new owner already wrote newer state
-		}
-		if err != nil {
-			rt.drainFailure()
-			obs.Logger().Warn("drain: persist failed; session stays live",
-				"session", id, "err", err)
-			return false
+// handOffNotOwned is one hand-off pass, shared by the janitor and Drain:
+// it hands off every local session whose live owner is another replica —
+// failover copies going back to a recovered owner, or, while draining,
+// everything. With no live owner at all the session stays unless the
+// router is draining; then it is persisted and evicted without a notify.
+// progress reports that some hand-off landed. Callers hold handoffMu, so
+// no two goroutines ever move the same session at once.
+func (rt *Router) handOffNotOwned(ctx context.Context) (progress bool) {
+	for _, id := range rt.srv.LocalIDs() {
+		if ctx.Err() != nil {
+			break
 		}
 		owner, _ := rt.ownerFor(id)
-		if owner != "" && owner != rt.cfg.Self {
-			if err := rt.notifyRehydrate(owner, id); err != nil {
-				rt.drainFailure()
-				obs.Logger().Warn("drain: rehydrate notify failed; session stays live",
-					"session", id, "owner", owner, "err", err)
-				return false
-			}
+		if owner == rt.cfg.Self || (owner == "" && !rt.Draining()) {
+			continue
+		}
+		if rt.handOff(ctx, id, owner) == nil {
+			progress = true
 		}
 	}
-	if s.evictSession(id) {
-		mEvicted.Inc()
-		mDrainHandoffs.Inc()
-		rt.drain.mu.Lock()
-		rt.drain.handedOff++
-		rt.drain.mu.Unlock()
+	return progress
+}
+
+// handOff moves one live session off this replica: persist, then notify
+// owner to re-hydrate from the store (skipped when owner is ""), then
+// evict. Persist-first means the new owner hydrates state at least as
+// fresh as anything served here. Notify-before-evict makes it drop any
+// stale copy it still holds before requests route back to it. A failed
+// step leaves the session live here for the next pass.
+//
+// The persist is persistSession, the write-through path with the store
+// breaker and replay queue, not the breaker-blind persistSessionDirect:
+// a hand-off under a store outage opens the breaker and queues a replay
+// like any other persist, whether the janitor or a drain made it. An
+// ErrFenced answer counts as landed (the store holds newer state from the
+// current owner).
+//
+// Every eviction bumps serve.sessions_evicted; one made while the router
+// is draining is also a drain hand-off, whichever loop made it, as is a
+// failure a drain failure.
+func (rt *Router) handOff(ctx context.Context, id, owner string) error {
+	s := rt.srv
+	sess := s.live(id)
+	if sess == nil {
+		return nil // already gone
 	}
-	return true
-}
-
-func (rt *Router) setDrainRemaining(n int) {
+	err := s.persistSession(ctx, sess)
+	if errors.Is(err, store.ErrFenced) {
+		err = nil
+	}
+	if err == nil && owner != "" {
+		err = rt.notifyRehydrate(owner, id)
+	}
+	if err != nil {
+		rt.drain.mu.Lock()
+		if rt.drain.active {
+			rt.drain.failures++
+			mDrainFailures.Inc()
+		}
+		rt.drain.mu.Unlock()
+		obs.Logger().Warn("hand-off deferred; session stays live",
+			"session", id, "owner", owner, "err", err)
+		return err
+	}
+	// Evict and count under drain.mu: a stats reader that sees the
+	// session gone also sees it counted.
 	rt.drain.mu.Lock()
-	rt.drain.remaining = n
+	evicted := s.detach(id) != nil
+	if evicted {
+		mEvicted.Inc()
+		if rt.drain.active {
+			rt.drain.handedOff++
+			mDrainHandoffs.Inc()
+		}
+	}
 	rt.drain.mu.Unlock()
-}
-
-func (rt *Router) drainFailure() {
-	mDrainFailures.Inc()
-	rt.drain.mu.Lock()
-	rt.drain.failures++
-	rt.drain.mu.Unlock()
-}
-
-func (rt *Router) drainHandedOff() int {
-	rt.drain.mu.Lock()
-	defer rt.drain.mu.Unlock()
-	return rt.drain.handedOff
+	if evicted {
+		obs.Logger().Info("session handed off", "session", id, "owner", owner)
+	}
+	return nil
 }
 
 // membershipView is the GET /v1/membership (and sync-response) body.
@@ -372,11 +385,18 @@ func (rt *Router) handleMembershipSync(w http.ResponseWriter, r *http.Request) {
 // handleRehydrate receives a hand-off notification: the sender persisted
 // the session and this replica now owns it, so drop any live (possibly
 // stale) local copy and re-hydrate from the store before serving. 200
-// is the sender's licence to evict its copy.
+// is the sender's licence to evict its copy. A draining replica takes no
+// sessions: a sender that still counts it as the owner routes by a stale
+// view, keeps its copy, and retries once it adopts the newer one —
+// accepting would hand the session straight back into the drain.
 func (rt *Router) handleRehydrate(w http.ResponseWriter, r *http.Request) {
 	var req rehydrateRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil || req.ID == "" {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad rehydrate body"})
+		return
+	}
+	if rt.Draining() {
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "draining: not taking sessions"})
 		return
 	}
 	if _, err := rt.srv.rehydrateSession(r.Context(), req.ID); err != nil {

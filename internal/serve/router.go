@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/shard"
-	"repro/internal/store"
 )
 
 // Router turns one Server replica into a member of a multi-node
@@ -40,10 +39,12 @@ import (
 //     replica acknowledged. Without a persisted checkpoint the hydrated
 //     session serves from the degraded cluster baseline and replays its
 //     labels (the PR 3/4 machinery); with one it resumes personalised.
-//   - When the owner comes back, the janitor persists and evicts the
-//     failover copy — and notifies the owner to re-hydrate from the store
-//     first, so it never serves the stale copy it held before losing
-//     ownership — so exactly one replica serves each session again.
+//   - When the owner comes back, the janitor's hand-off pass moves the
+//     failover copy back by the one hand-off a drain also uses
+//     (membership.go): a write-through persist, then a notify telling the
+//     owner to re-hydrate from the store — so it never serves the stale
+//     copy it held before losing ownership — then the evict. Exactly one
+//     replica serves each session again.
 //
 // The ring is a runtime concept (shard.Membership): every view carries a
 // monotonic epoch, replicas join/leave/drain without a restart
@@ -143,6 +144,9 @@ type Router struct {
 
 	// drain tracks graceful-drain progress (membership.go).
 	drain drainState
+	// handoffMu is held for a whole hand-off pass, by the janitor or by
+	// Drain, so the two never move the same session at once.
+	handoffMu sync.Mutex
 
 	mu       sync.Mutex
 	down     map[string]bool
@@ -723,7 +727,13 @@ func (rt *Router) healthLoop() {
 			return
 		}
 		rt.probePeers()
-		rt.evictNotOwned()
+		// While draining, the pass is Drain's; sessions an incomplete
+		// drain left behind stay live here.
+		rt.handoffMu.Lock()
+		if !rt.Draining() {
+			rt.handOffNotOwned(context.Background())
+		}
+		rt.handoffMu.Unlock()
 		t.Reset(rt.jittered())
 	}
 }
@@ -750,49 +760,6 @@ func (rt *Router) probePeers() {
 		if err == nil && (hz.Epoch > v.Epoch || (hz.Epoch == v.Epoch && hz.MembersHash != "" && hz.MembersHash != v.Hash())) {
 			rt.pullViewFrom(node)
 			v = rt.view()
-		}
-	}
-}
-
-// evictNotOwned persists-then-evicts local live sessions whose live owner
-// is another (up) replica: the failover copies this node accumulated
-// while a peer was down, handed back now that the peer recovered. The
-// hand-back is a three-step handshake — persist, notify the owner to
-// re-hydrate from the store, evict — in that order. Persist-first means
-// the returning owner hydrates state at least as fresh as anything we
-// served, so a failed (or deferred, store-breaker-open) persist keeps the
-// session here. Notify-before-evict closes the stale-copy hole: the owner
-// drops whatever pre-partition copy it still holds and re-reads the
-// store before any request routes back to it; a failed notify also keeps
-// the session here for the next tick, because evicting without it would
-// let the owner serve its stale copy.
-func (rt *Router) evictNotOwned() {
-	if rt.Draining() {
-		return // Drain's handoff loop owns eviction while draining
-	}
-	s := rt.srv
-	for _, id := range s.LocalIDs() {
-		owner, _ := rt.ownerFor(id)
-		if owner == "" || owner == rt.cfg.Self {
-			continue
-		}
-		sess, err := s.Session(id)
-		if err != nil {
-			continue
-		}
-		if err := s.persistSession(context.Background(), sess); err != nil && !errors.Is(err, store.ErrFenced) {
-			obs.Logger().Warn("hand-back deferred: persist failed",
-				"session", id, "owner", owner, "err", err)
-			continue
-		}
-		if err := rt.notifyRehydrate(owner, id); err != nil {
-			obs.Logger().Warn("hand-back deferred: rehydrate notify failed",
-				"session", id, "owner", owner, "err", err)
-			continue
-		}
-		if s.evictSession(id) {
-			mEvicted.Inc()
-			obs.Logger().Info("session handed back", "session", id, "owner", owner)
 		}
 	}
 }

@@ -187,20 +187,25 @@ func TestMembershipJoinDrainLifecycle(t *testing.T) {
 	}
 
 	// Seed sessions on the two members until at least two will move to
-	// the joining node under the post-join ring (its placement is fixed
-	// by consistent hashing, so we can compute it up front).
+	// the joining node and at least one stays on node 1, the drain target,
+	// under the post-join ring (its placement is fixed by consistent
+	// hashing, so we can compute it up front).
 	postRing := preRing.With(tr.nodes[2])
 	sessions := []*topoSession{viaStandby}
-	moved := 0
-	for i := 0; len(sessions) < 40 && (moved < 2 || len(sessions) < 8); i++ {
+	moved, kept := 0, 0
+	for i := 0; len(sessions) < 40 && (moved < 2 || kept < 1 || len(sessions) < 8); i++ {
 		si := tr.createOn(t, i%2, users[(i+1)%len(users)])
 		sessions = append(sessions, si)
-		if postRing.Owner(si.id) == tr.nodes[2] {
+		switch postRing.Owner(si.id) {
+		case tr.nodes[2]:
 			moved++
+		case tr.nodes[1]:
+			kept++
 		}
 	}
-	if moved < 2 {
-		t.Fatalf("only %d of %d minted sessions move to the joining node", moved, len(sessions))
+	if moved < 2 || kept < 1 {
+		t.Fatalf("of %d minted sessions %d move to the joining node and %d stay on node 1",
+			len(sessions), moved, kept)
 	}
 	for _, si := range sessions {
 		tr.postWindow(t, tr.nodes[0], si)
@@ -336,6 +341,41 @@ func TestMembershipJoinDrainLifecycle(t *testing.T) {
 	}
 }
 
+// TestDrainCountsHandOffsUnderSpinningJanitor pins drain accounting
+// against the janitor. With a 1 ms janitor cadence a hand-off pass is
+// almost always in flight when Drain leaves the ring, so either loop may
+// move a given session. Every session local when the drain started must
+// count as a drain hand-off, whichever loop evicted it, and must be
+// evicted exactly once.
+func TestDrainCountsHandOffsUnderSpinningJanitor(t *testing.T) {
+	tr := newTopoTrio(t, 2, time.Millisecond, 10*time.Second)
+	_, users := fixture(t)
+
+	var sessions []*topoSession
+	for i := 0; i < 8; i++ {
+		si := tr.createOn(t, 1, users[i%len(users)])
+		sessions = append(sessions, si)
+		tr.postWindow(t, tr.nodes[1], si)
+	}
+	local := len(tr.srvs[1].LocalIDs())
+	if local != len(sessions) {
+		t.Fatalf("draining node holds %d sessions, want %d", local, len(sessions))
+	}
+	evictedBefore := mEvicted.Value()
+	if err := tr.routers[1].Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if ms := tr.routers[1].membStats(); ms.DrainHandedOff != local || ms.DrainRemaining != 0 {
+		t.Fatalf("drain stats = %+v, want %d handed off and 0 remaining", ms, local)
+	}
+	if got := mEvicted.Value() - evictedBefore; got != int64(local) {
+		t.Fatalf("sessions_evicted rose by %d, want %d (one eviction per session)", got, local)
+	}
+	for _, si := range sessions {
+		tr.postWindow(t, tr.nodes[0], si)
+	}
+}
+
 // TestEpochSkewForwardRefusalAndCatchUp pins the epoch fencing on the
 // forward path in both directions. A sender resolving ownership under a
 // stale view is refused with 421 + the receiver's epoch, pulls the newer
@@ -379,10 +419,10 @@ func TestEpochSkewForwardRefusalAndCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("session on node 1: %v", err)
 	}
-	if err := tr.srvs[1].persistSessionDirect(ctx, sess); err != nil {
+	if err := tr.srvs[1].persistSession(ctx, sess); err != nil {
 		t.Fatalf("persist before evict: %v", err)
 	}
-	tr.srvs[1].evictSession(si.id)
+	tr.srvs[1].detach(si.id)
 
 	// Stale sender: node 0 (epoch 1) forwards to node 1, which no longer
 	// owns or holds the ID under its epoch-2 ring → 421 → node 0 adopts

@@ -800,18 +800,11 @@ func (s *Server) CloseSessionCtx(ctx context.Context, id string) error {
 	return nil
 }
 
-// evictSession drops a session from the live registry WITHOUT touching
-// its durable record — the handoff primitive. A replica that lost
-// ownership of a session under a topology change evicts its live copy
-// (the new owner hydrates from the store), so eviction must not destroy
-// the very state the new owner hydrates from. Callers persist first.
-func (s *Server) evictSession(id string) bool {
-	return s.detach(id) != nil
-}
-
 // detach removes id from the live registry, closes the session and
 // releases its cached fine-tuned checkpoint, leaving the durable record
-// alone. It returns the session, or nil when id is not live.
+// alone — so it is also the eviction step of a hand-off, where the new
+// owner hydrates from that record. It returns the session, or nil when
+// id is not live.
 func (s *Server) detach(id string) *Session {
 	s.mu.Lock()
 	sess, ok := s.sessions[id]
@@ -1073,11 +1066,14 @@ func (s *Server) SetShedCreates(on bool) {
 // HasLocal reports whether id is live in this replica's registry (no
 // store hydration — the router's drain path uses it to keep serving
 // sessions whose handoff hasn't landed yet).
-func (s *Server) HasLocal(id string) bool {
+func (s *Server) HasLocal(id string) bool { return s.live(id) != nil }
+
+// live returns the live local session id, or nil — a registry lookup
+// that, unlike Session, never hydrates from the store.
+func (s *Server) live(id string) *Session {
 	s.mu.RLock()
-	_, ok := s.sessions[id]
-	s.mu.RUnlock()
-	return ok
+	defer s.mu.RUnlock()
+	return s.sessions[id]
 }
 
 // LocalIDs returns the IDs of all live local sessions.

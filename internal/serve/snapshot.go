@@ -276,7 +276,7 @@ func decodeSessionRec(data []byte) (sessRecHeader, []*tensorT, error) {
 // triggered it: the session enters the write-behind replay queue
 // (writebehind.go), keeps serving with durability at-risk, and the
 // drain / periodic FlushAll retries. Callers that *require* a fresh
-// durable record before acting (the hand-back janitor) check the error.
+// durable record before acting (Router.handOff) check the error.
 //
 // A fenced rejection (store.ErrFenced) is NOT a store failure: the store
 // answered, and it holds strictly newer state written by the session's
@@ -307,7 +307,7 @@ func (s *Server) persistSession(ctx context.Context, sess *Session) error {
 
 // persistSessionDirect does one encode + put round-trip, with failure
 // accounting but no breaker/queue interaction — the primitive shared by
-// the write-through path, the replay drain, and the drain handoff. With
+// the write-through path and the replay drain. With
 // an epoch source installed (router mode) the put is fenced at
 // {ring epoch, per-session persist seq}: the store rejects the write with
 // store.ErrFenced when its record carries a strictly newer fence, so a

@@ -25,7 +25,7 @@ import (
 //	sessions/<esc(id)>.sess    framed session record (recordMagic)
 //	blobs/<hex>                raw blob bytes, named by sha256
 //	checkpoints/<esc(key)>.ck  framed manifest (manifestMagic)
-//	locks/<esc(key)>.lock      JSON lease record, created O_EXCL
+//	locks/<esc(key)>.lock      JSON lease record, hard-linked into place
 //
 // Records reuse the repo-wide core.WriteHeader framing (LE magic +
 // uint32 len + JSON header) with the payload after the header, so a
@@ -45,6 +45,11 @@ type File struct {
 	// the pre-fencing behavior and is closed for the deployment CI
 	// exercises because only one replica owns a session per epoch.
 	fenceMu sync.Mutex
+	// leaseMu serializes Lock, Refresh and Release on this handle. The
+	// filesystem arbitrates between processes; within one, the mutex makes
+	// a release happen-before the next holder's acquire, which link and
+	// unlink alone do not establish in the Go memory model.
+	leaseMu sync.Mutex
 }
 
 const (
@@ -128,12 +133,19 @@ func (f *File) lockPath(key string) string {
 // writeAtomic writes data to path via a same-directory tmp file and
 // rename, so concurrent readers see either the old record or the new one.
 func writeAtomic(path string, write func(*os.File) error) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	return placeTemp(path, write, os.Rename)
+}
+
+// placeTemp writes and syncs a same-directory tmp file, then moves it to
+// path with place: os.Rename replaces, os.Link creates only if path is
+// absent (EEXIST otherwise). Either way path is never visible partly
+// written, and the tmp name is removed on every path.
+func placeTemp(path string, write func(*os.File) error, place func(oldpath, newpath string) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
+	defer os.Remove(tmp.Name()) // no-op after a rename; drops a link's second name
 	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
@@ -145,7 +157,15 @@ func writeAtomic(path string, write func(*os.File) error) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	return place(tmp.Name(), path)
+}
+
+// writeBytes is the write callback that writes b.
+func writeBytes(b []byte) func(*os.File) error {
+	return func(w *os.File) error {
+		_, err := w.Write(b)
+		return err
+	}
 }
 
 // PutSession implements SessionStore.
@@ -293,11 +313,7 @@ func (f *File) PutBlob(ctx context.Context, data []byte) (d Digest, created bool
 	if _, err := os.Stat(path); err == nil {
 		return d, false, nil
 	}
-	err = writeAtomic(path, func(w *os.File) error {
-		_, werr := w.Write(data)
-		return werr
-	})
-	if err != nil {
+	if err = writeAtomic(path, writeBytes(data)); err != nil {
 		return "", false, err
 	}
 	return d, true, nil
@@ -430,8 +446,13 @@ func newToken() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Lock implements LockSource. Fresh acquisition is O_CREATE|O_EXCL — the
-// filesystem arbitrates racing replicas. Takeover of an expired lease is
+// Lock implements LockSource. Fresh acquisition writes the lease record
+// to a tmp file in locks/ and hard-links it to the lock path: the link
+// fails atomically with EEXIST while the key is held, so the filesystem
+// arbitrates racing replicas and the lock file is never visible empty.
+// On the contended path a lock file that reads empty or short (written
+// by a non-atomic writer, or torn by a crash) counts as contention
+// (ErrLocked), not ErrCorrupt. Takeover of an expired lease is
 // write-then-verify: write our record via rename, read it back, and only
 // claim the lease if our token survived (two racing takeovers both
 // rename, but only the last one's token is on disk).
@@ -444,18 +465,11 @@ func (f *File) Lock(ctx context.Context, key, owner string, ttl time.Duration) (
 	path := f.lockPath(key)
 	rec := lockRecord{Owner: owner, Token: newToken(), Deadline: time.Now().Add(ttl).UnixMicro()}
 	body, _ := json.Marshal(rec)
+	f.leaseMu.Lock()
+	defer f.leaseMu.Unlock()
 
-	w, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	err = placeTemp(path, writeBytes(body), os.Link)
 	if err == nil {
-		if _, werr := w.Write(body); werr != nil {
-			w.Close()
-			os.Remove(path)
-			return nil, werr
-		}
-		if werr := w.Close(); werr != nil {
-			os.Remove(path)
-			return nil, werr
-		}
 		return &fileLease{f: f, key: key, owner: owner, token: rec.Token}, nil
 	}
 	if !errors.Is(err, fs.ErrExist) {
@@ -463,21 +477,18 @@ func (f *File) Lock(ctx context.Context, key, owner string, ttl time.Duration) (
 	}
 
 	cur, rerr := readLock(path)
-	if rerr != nil {
-		if errors.Is(rerr, fs.ErrNotExist) {
-			return nil, ErrLocked // holder released between our attempts; let caller retry
-		}
+	switch {
+	case errors.Is(rerr, fs.ErrNotExist):
+		return nil, ErrLocked // holder released between our attempts; let caller retry
+	case errors.Is(rerr, io.EOF), errors.Is(rerr, io.ErrUnexpectedEOF):
+		return nil, ErrLocked // empty or short record: contention, not corruption
+	case rerr != nil:
 		return nil, rerr
-	}
-	if !cur.expired(time.Now()) {
+	case !cur.expired(time.Now()):
 		return nil, ErrLocked
 	}
 	// Expired: take over, then verify our token won any takeover race.
-	err = writeAtomic(path, func(w *os.File) error {
-		_, werr := w.Write(body)
-		return werr
-	})
-	if err != nil {
+	if err = writeAtomic(path, writeBytes(body)); err != nil {
 		return nil, err
 	}
 	got, rerr := readLock(path)
@@ -487,14 +498,18 @@ func (f *File) Lock(ctx context.Context, key, owner string, ttl time.Duration) (
 	return &fileLease{f: f, key: key, owner: owner, token: rec.Token}, nil
 }
 
+// readLock decodes a lock file. A record that is not valid JSON is
+// ErrCorrupt, wrapping io.EOF when the file is empty and
+// io.ErrUnexpectedEOF when it is cut short.
 func readLock(path string) (lockRecord, error) {
-	b, err := os.ReadFile(path)
+	r, err := os.Open(path)
 	if err != nil {
 		return lockRecord{}, err
 	}
+	defer r.Close()
 	var rec lockRecord
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return lockRecord{}, fmt.Errorf("%w: lock %s: %v", ErrCorrupt, path, err)
+	if err := json.NewDecoder(r).Decode(&rec); err != nil {
+		return lockRecord{}, fmt.Errorf("%w: lock %s: %w", ErrCorrupt, path, err)
 	}
 	return rec, nil
 }
@@ -504,6 +519,8 @@ func (l *fileLease) Refresh(ctx context.Context, ttl time.Duration) error {
 	if err := checkCtx(ctx); err != nil {
 		return err
 	}
+	l.f.leaseMu.Lock()
+	defer l.f.leaseMu.Unlock()
 	path := l.f.lockPath(l.key)
 	cur, err := readLock(path)
 	if err != nil || cur.Token != l.token {
@@ -511,10 +528,7 @@ func (l *fileLease) Refresh(ctx context.Context, ttl time.Duration) error {
 	}
 	cur.Deadline = time.Now().Add(ttl).UnixMicro()
 	body, _ := json.Marshal(cur)
-	if err := writeAtomic(path, func(w *os.File) error {
-		_, werr := w.Write(body)
-		return werr
-	}); err != nil {
+	if err := writeAtomic(path, writeBytes(body)); err != nil {
 		return err
 	}
 	// Same write-then-verify as takeover: a racing takeover of our
@@ -528,6 +542,8 @@ func (l *fileLease) Refresh(ctx context.Context, ttl time.Duration) error {
 
 // Release implements Lease.
 func (l *fileLease) Release() error {
+	l.f.leaseMu.Lock()
+	defer l.f.leaseMu.Unlock()
 	path := l.f.lockPath(l.key)
 	cur, err := readLock(path)
 	if err != nil || cur.Token != l.token {
@@ -571,6 +587,9 @@ func (f *File) Stats() Stats {
 	now := time.Now()
 	if ents, err := os.ReadDir(filepath.Join(f.root, "locks")); err == nil {
 		for _, e := range ents {
+			if !strings.HasSuffix(e.Name(), ".lock") {
+				continue // tmp files mid-link or mid-rename
+			}
 			rec, err := readLock(filepath.Join(f.root, "locks", e.Name()))
 			if err == nil && !rec.expired(now) {
 				st.LocksHeld++

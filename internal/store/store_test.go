@@ -1,7 +1,12 @@
 package store_test
 
 import (
+	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/store"
 	"repro/internal/store/storetest"
@@ -32,4 +37,56 @@ func TestFileConformance(t *testing.T) {
 		}
 		return s, reopen
 	})
+}
+
+// TestFileLockFileStates pins the file lease beyond the shared suite: a
+// lock file found empty or cut short is contention (ErrLocked), garbage
+// is ErrCorrupt, and acquisition leaves no tmp file behind in locks/.
+func TestFileLockFileStates(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	s, err := store.NewFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lockFile := filepath.Join(dir, "locks", "k.lock")
+	for _, tc := range []struct {
+		body string
+		want error
+	}{
+		{"", store.ErrLocked},
+		{`{"owner":"a","tok`, store.ErrLocked},
+		{"not a lease", store.ErrCorrupt},
+	} {
+		if err := os.WriteFile(lockFile, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Lock(ctx, "k", "b", time.Minute); !errors.Is(err, tc.want) {
+			t.Fatalf("Lock over lock file %q = %v, want %v", tc.body, err, tc.want)
+		}
+	}
+	if err := os.Remove(lockFile); err != nil {
+		t.Fatal(err)
+	}
+	l, err := s.Lock(ctx, "k", "a", time.Minute)
+	if err != nil {
+		t.Fatalf("fresh Lock: %v", err)
+	}
+	if _, err := s.Lock(ctx, "k", "b", time.Minute); !errors.Is(err, store.ErrLocked) {
+		t.Fatalf("contended Lock = %v, want ErrLocked", err)
+	}
+	ents, err := os.ReadDir(filepath.Join(dir, "locks"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "k.lock" {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("locks/ holds %q, want only k.lock", names)
+	}
+	if err := l.Release(); err != nil {
+		t.Fatalf("Release: %v", err)
+	}
 }
