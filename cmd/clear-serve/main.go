@@ -42,15 +42,19 @@
 // in the fault injector plus a transient-retry decorator, and persist
 // failures that survive the retries flow into the serving layer's
 // write-behind replay queue instead of being dropped. -chaos-admin
-// additionally mounts POST /v1/chaos, which arms time-bounded store
-// outages and inbound partitions on the live process — the hook
-// cmd/clear-loadgen's -chaos mode drives.
+// additionally enables POST /v1/chaos (403 without it), which arms
+// time-bounded store outages and inbound partitions on the live process —
+// the hook cmd/clear-loadgen's -chaos mode drives.
 // The -drift-* flags tune the self-healing cluster-assignment detector
 // (internal/serve/drift.go).
 //
-// The observability surface (/metrics, /debug/pprof, /debug/vars,
-// /debug/spans, /v1/traces/{id}, /v1/slo) shares the API mux — no separate
-// -obs port needed. Structured request logs (JSON, trace-correlated) go to
+// Every replica serves one route table (internal/serve/http.go): the
+// session API, /v1/stats, /v1/slo, /v1/events, /v1/traces/{id}, /healthz,
+// /v1/chaos and the observability surface (/metrics, /debug/pprof,
+// /debug/vars, /debug/spans) on the API port — no separate -obs port
+// needed. Router mode (-peers) adds /v1/fleet, /v1/membership and
+// /v1/rehydrate, and federates /v1/traces/{id} across the ring.
+// Structured request logs (JSON, trace-correlated) go to
 // stderr at -loglevel and above. The -slo-* flags tune the multi-window
 // burn-rate tracker served at /v1/slo; -profdir arms triggered pprof
 // capture — a fast burn writes a CPU+heap profile pair into a bounded

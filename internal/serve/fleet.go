@@ -19,9 +19,10 @@ package serve
 //     an error: a half-answered fleet view during an incident beats a
 //     500.
 //
-// Both fan-outs degrade gracefully: a single replica (no router) serves
-// the same shapes from local state alone via Server.handleFleetLocal and
-// the plain trace lookup.
+// Both are router-mode routes. A single replica (no router) answers
+// /v1/traces/{id} from its own trace store and has no /v1/fleet; its
+// /v1/stats, /v1/slo and /v1/events are the per-node pieces the fleet
+// report merges.
 
 import (
 	"context"
@@ -64,16 +65,12 @@ type traceSegment struct {
 // answered from the local store only (the loop guard); anything else
 // fans out to the ring and stitches.
 func (rt *Router) handleFederatedTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	local, haveLocal := rt.srv.traces.Get(id)
 	if r.Header.Get(federationHeader) != "" {
-		if !haveLocal {
-			writeError(w, r, fmt.Errorf("%w: %q", ErrTraceNotFound, id))
-			return
-		}
-		writeJSON(w, http.StatusOK, local)
+		rt.srv.handleTrace(w, r)
 		return
 	}
+	id := r.PathValue("id")
+	local, haveLocal := rt.srv.traces.Get(id)
 	var (
 		mu          sync.Mutex
 		segments    []traceSegment
@@ -322,19 +319,4 @@ func buildFleetReport(self string, epoch uint64, members []string,
 		Invariants: inv,
 		Events:     obs.MergeEvents(segments...),
 	}
-}
-
-// handleFleetLocal serves /v1/fleet on a single replica (no router): the
-// same report shape, degenerately covering just this node.
-func (s *Server) handleFleetLocal(w http.ResponseWriter, r *http.Request) {
-	st := s.Stats()
-	slo := s.SLOReportNow()
-	var epoch uint64
-	if ms := s.membershipStats(); ms != nil {
-		epoch = ms.Epoch
-	}
-	reports := []FleetNodeReport{{Node: s.cfg.Self, Stats: &st, SLO: &slo}}
-	segments := [][]obs.JournalEvent{s.journal.Events()}
-	writeJSON(w, http.StatusOK,
-		buildFleetReport(s.cfg.Self, epoch, []string{s.cfg.Self}, reports, segments))
 }

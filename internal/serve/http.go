@@ -13,7 +13,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// The HTTP JSON API:
+// The HTTP JSON API, every route the Server serves:
 //
 //	POST   /v1/sessions                enrol a new user
 //	POST   /v1/sessions/{id}/windows   stream one signal window
@@ -21,8 +21,15 @@ import (
 //	GET    /v1/sessions/{id}           session status
 //	DELETE /v1/sessions/{id}           close the session
 //	GET    /v1/stats                   server aggregates
+//	GET    /v1/slo                     burn-rate status + breach history
 //	GET    /v1/traces/{id}             look a recorded request trace up
+//	GET    /v1/events                  this node's cluster event journal
+//	GET    /healthz                    liveness (untraced; router peers probe it)
+//	POST   /v1/chaos                   arm fault windows (403 unless Config.ChaosAdmin)
 //	GET    /metrics, /debug/...        the shared obs surface
+//
+// Router mode (router.go) adds the ring routes and overrides the
+// per-session and trace routes on top of these.
 //
 // Typed serve errors map to status codes: ErrOverloaded → 429,
 // ErrSessionNotFound/ErrTraceNotFound → 404, ErrSessionClosed → 409,
@@ -129,7 +136,12 @@ type errorResponse struct {
 // Handler returns the server's HTTP API, with the obs observability
 // surface (/metrics, /debug/pprof, /debug/vars, /debug/spans) mounted on
 // the same mux so one port serves both traffic and introspection.
-func (s *Server) Handler() http.Handler {
+func (s *Server) Handler() http.Handler { return s.chaosGate(s.mux()) }
+
+// mux is the Server's one route table, ungated: Handler wraps it in the
+// chaos gate, and Router.Handler passes every route it does not override
+// through to it.
+func (s *Server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", s.traced("sessions", s.handleCreate))
 	mux.HandleFunc("POST /v1/sessions/{id}/windows", s.traced("windows", s.handleWindow))
@@ -139,19 +151,15 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", s.traced("stats", s.handleStats))
 	mux.HandleFunc("GET /v1/slo", s.traced("slo", s.handleSLO))
 	mux.HandleFunc("GET /v1/traces/{id}", s.traced("traces", s.handleTrace))
-	// Fleet surfaces degenerate gracefully on a single replica: /v1/events
-	// serves the local journal, /v1/fleet a one-node report.
 	mux.HandleFunc("GET /v1/events", s.traced("events", s.handleEvents))
-	mux.HandleFunc("GET /v1/fleet", s.traced("fleet", s.handleFleetLocal))
 	// Liveness probe: cheap, untraced, used by router peers to build their
 	// failover down-set.
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	// Chaos admin (403 unless Config.ChaosAdmin).
 	mux.HandleFunc("POST /v1/chaos", s.handleChaos)
 	oh := obs.Handler()
 	mux.Handle("/metrics", oh)
 	mux.Handle("/debug/", oh)
-	return s.chaosGate(mux)
+	return mux
 }
 
 // HealthzResponse is the GET /healthz body. Beyond liveness, it carries
@@ -178,7 +186,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.mu.RUnlock()
 	resp := HealthzResponse{Status: "ok"}
-	if ms := s.membershipStats(); ms != nil {
+	if rt := s.ring.Load(); rt != nil {
+		ms := rt.membStats()
 		resp.Epoch = ms.Epoch
 		resp.MembersHash = ms.Hash
 		resp.Draining = ms.Draining

@@ -137,10 +137,9 @@ func (rt *Router) Drain(ctx context.Context) error {
 		rt.drain.mu.Unlock()
 		return nil
 	}
-	rt.drain.active = true
+	rt.drain.active = true // CreateSessionCtx sheds from here on
 	rt.drain.mu.Unlock()
 
-	rt.srv.SetShedCreates(true)
 	prev := rt.view()
 	if v, changed := rt.memb.Leave(rt.cfg.Self); changed {
 		mMembChanges.Inc()

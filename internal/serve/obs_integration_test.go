@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/wemac"
 )
@@ -71,11 +72,27 @@ func kindIndex(evs []FlightEvent, kind string, from int) int {
 // class and asserts the contract the loadgen's -tracesample enforces in
 // production: the 128-bit id is adopted and echoed, X-Trace-Id carries the
 // short form, error bodies embed a trace_id, and every error trace is
-// resolvable through /v1/traces/<id>.
+// resolvable through /v1/traces/<id>. It runs over the lone Server's
+// handler and over a one-member Router's, which must serve the Server's
+// routes unchanged: the router adds /v1/fleet and nothing it passes
+// through may differ.
 func TestHTTPTraceRoundTrip(t *testing.T) {
+	t.Run("server", func(t *testing.T) {
+		srv := newTestServer(t, Config{MaxDelay: 500 * time.Microsecond})
+		testHTTPRoundTrip(t, srv.Handler(), false)
+	})
+	t.Run("router", func(t *testing.T) {
+		srv := newTestServer(t, Config{MaxDelay: 500 * time.Microsecond})
+		self := srv.cfg.Self
+		rt := NewRouter(srv, RouterConfig{Self: self, Ring: shard.New([]string{self}, 0)})
+		t.Cleanup(rt.Stop)
+		testHTTPRoundTrip(t, rt.Handler(), true)
+	})
+}
+
+func testHTTPRoundTrip(t *testing.T, h http.Handler, ringMode bool) {
 	_, users := fixture(t)
-	srv := newTestServer(t, Config{MaxDelay: 500 * time.Microsecond})
-	hs := httptest.NewServer(srv.Handler())
+	hs := httptest.NewServer(h)
 	defer hs.Close()
 	u := users[0]
 
@@ -107,6 +124,9 @@ func TestHTTPTraceRoundTrip(t *testing.T) {
 		var buf bytes.Buffer
 		_, _ = buf.ReadFrom(resp.Body)
 		resp.Body.Close()
+		if got := resp.Header.Values(nodeHeader); len(got) != 1 {
+			t.Fatalf("%s %s: %s = %q, want exactly one value", method, path, nodeHeader, got)
+		}
 		return resp, buf.Bytes()
 	}
 
@@ -169,6 +189,44 @@ func TestHTTPTraceRoundTrip(t *testing.T) {
 	nresp.Body.Close()
 	if nresp.Header.Get("X-Trace-Id") == "" || nresp.Header.Get("traceparent") == "" {
 		t.Fatal("untraced request got no server-minted trace id")
+	}
+
+	// The rest of the route table answers alike through both handlers;
+	// only /v1/fleet is router-only.
+	fleetCode := http.StatusNotFound
+	if ringMode {
+		fleetCode = http.StatusOK
+	}
+	routes := []struct {
+		method, path string
+		wantCode     int
+		wantType     string // Content-Type prefix; "" skips the check
+	}{
+		{"GET", "/v1/slo", http.StatusOK, "application/json"},
+		{"GET", "/v1/events", http.StatusOK, "application/json"},
+		{"GET", "/healthz", http.StatusOK, "application/json"},
+		{"GET", "/metrics", http.StatusOK, "text/plain"},
+		{"GET", "/debug/vars", http.StatusOK, "application/json"},
+		{"POST", "/v1/chaos", http.StatusForbidden, "application/json"},
+		{"GET", "/v1/fleet", fleetCode, ""},
+	}
+	for _, rc := range routes {
+		resp, body := do(rc.method, rc.path, nil)
+		if resp.StatusCode != rc.wantCode {
+			t.Fatalf("%s %s: %d %s, want %d", rc.method, rc.path, resp.StatusCode, body, rc.wantCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, rc.wantType) {
+			t.Fatalf("%s %s: Content-Type %q, want %s", rc.method, rc.path, ct, rc.wantType)
+		}
+		if rc.path == "/healthz" {
+			var hz HealthzResponse
+			if err := json.Unmarshal(body, &hz); err != nil {
+				t.Fatalf("healthz decode: %v", err)
+			}
+			if ringMode != (hz.Epoch >= 1) {
+				t.Fatalf("healthz epoch = %d in ring mode %v", hz.Epoch, ringMode)
+			}
+		}
 	}
 }
 

@@ -208,9 +208,10 @@ func NewRouter(srv *Server, cfg RouterConfig) *Router {
 			rt.breakers[node] = NewBreaker(cfg.PeerBreakerThreshold, cfg.PeerBreakerCooldown)
 		}
 	}
-	srv.SetShardStats(rt.stats)
-	srv.SetMembershipStats(rt.membStats)
-	srv.SetEpochSource(memb.Epoch)
+	// The journal stamps the ring epoch onto every event it records, so the
+	// fleet merge can order cross-node events causally.
+	srv.journal.SetEpochSource(memb.Epoch)
+	srv.ring.Store(rt)
 	rt.wg.Add(1)
 	go rt.healthLoop()
 	return rt
@@ -241,46 +242,43 @@ func (rt *Router) Stop() {
 	rt.wg.Wait()
 }
 
-// Handler mirrors Server.Handler with per-session routes wrapped in
-// ownership routing. Registry-independent routes (create, stats, slo,
-// traces, health, obs) are always local.
+// Handler is the Server's route table (Server.mux, passed through at "/")
+// plus what ring mode adds or overrides:
+//
+//   - POST /v1/sessions and the four /v1/sessions/{id} routes resolve
+//     their ring owner and forward to it, serving locally when this
+//     replica owns the ID (route, routeCreate);
+//   - GET /v1/traces/{id} and GET /v1/fleet federate across the ring
+//     (fleet.go);
+//   - GET/POST /v1/membership, POST /v1/membership/sync and
+//     POST /v1/rehydrate are the live-topology surface (membership.go).
+//
+// The chaos gate wraps the whole table once.
 func (rt *Router) Handler() http.Handler {
 	s := rt.srv
+	local := s.mux()
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sessions", rt.routeCreate(s.traced("sessions", s.handleCreate)))
-	mux.HandleFunc("POST /v1/sessions/{id}/windows", rt.route("windows", s.handleWindow))
-	mux.HandleFunc("POST /v1/sessions/{id}/labels", rt.route("labels", s.handleLabels))
-	mux.HandleFunc("GET /v1/sessions/{id}", rt.route("status", s.handleStatus))
-	mux.HandleFunc("DELETE /v1/sessions/{id}", rt.route("delete", s.handleDelete))
-	mux.HandleFunc("GET /v1/stats", s.traced("stats", s.handleStats))
-	mux.HandleFunc("GET /v1/slo", s.traced("slo", s.handleSLO))
-	// Fleet observability (fleet.go): traces federate across the ring (a
-	// node that doesn't hold the id fans out to peers and stitches the
-	// returned segments), /v1/fleet merges every member's stats/SLO/events
-	// into one report, /v1/events serves this node's journal segment.
+	mux.Handle("/", local)
+	mux.HandleFunc("POST /v1/sessions", rt.routeCreate(local))
+	mux.HandleFunc("POST /v1/sessions/{id}/windows", rt.route("windows", local))
+	mux.HandleFunc("POST /v1/sessions/{id}/labels", rt.route("labels", local))
+	mux.HandleFunc("GET /v1/sessions/{id}", rt.route("status", local))
+	mux.HandleFunc("DELETE /v1/sessions/{id}", rt.route("delete", local))
 	mux.HandleFunc("GET /v1/traces/{id}", s.traced("traces", rt.handleFederatedTrace))
 	mux.HandleFunc("GET /v1/fleet", s.traced("fleet", rt.handleFleet))
-	mux.HandleFunc("GET /v1/events", s.traced("events", s.handleEvents))
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("POST /v1/chaos", s.handleChaos)
-	// Live topology (membership.go): read the view, mutate it (admin), the
-	// replica-to-replica view sync, and the handoff rehydrate notification.
 	// Sync and rehydrate run traced so the caller's rpc trace id joins the
 	// receiving replica's segment.
 	mux.HandleFunc("GET /v1/membership", rt.handleMembershipGet)
 	mux.HandleFunc("POST /v1/membership", rt.handleMembershipPost)
 	mux.HandleFunc("POST /v1/membership/sync", s.traced("membership_sync", rt.handleMembershipSync))
 	mux.HandleFunc("POST /v1/rehydrate", s.traced("rehydrate", rt.handleRehydrate))
-	oh := obs.Handler()
-	mux.Handle("/metrics", oh)
-	mux.Handle("/debug/", oh)
 	return s.chaosGate(mux)
 }
 
 // route serves a per-session endpoint locally when this replica owns the
 // ID (or the request already hopped once), else forwards to the owner.
-func (rt *Router) route(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	local := rt.srv.traced(endpoint, h)
+// local is the Server's own (already traced) route table.
+func (rt *Router) route(endpoint string, local http.Handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get(forwardedHeader) != "" {
 			rt.serveForwarded(w, r, local)
@@ -290,12 +288,12 @@ func (rt *Router) route(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 		if rt.Draining() && rt.srv.HasLocal(id) {
 			// Graceful drain: sessions whose handoff hasn't landed yet keep
 			// serving here; once handed off, ownership routes them away.
-			local(w, r)
+			local.ServeHTTP(w, r)
 			return
 		}
 		owner, failover := rt.ownerFor(id)
 		if owner == "" || owner == rt.cfg.Self {
-			local(w, r)
+			local.ServeHTTP(w, r)
 			return
 		}
 		if failover {
@@ -314,7 +312,7 @@ func (rt *Router) route(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 // ID under its newer ring (or still holds it live); otherwise answer 421
 // with the local epoch so the sender catches up and re-resolves — never
 // serve under a placement both sides can see is stale, and never loop.
-func (rt *Router) serveForwarded(w http.ResponseWriter, r *http.Request, local http.HandlerFunc) {
+func (rt *Router) serveForwarded(w http.ResponseWriter, r *http.Request, local http.Handler) {
 	reqEpoch, _ := strconv.ParseUint(r.Header.Get(epochHeader), 10, 64)
 	v := rt.view()
 	switch {
@@ -322,19 +320,19 @@ func (rt *Router) serveForwarded(w http.ResponseWriter, r *http.Request, local h
 		if from := r.Header.Get(forwardedHeader); from != "" {
 			rt.pullViewFrom(from)
 		}
-		local(w, r)
+		local.ServeHTTP(w, r)
 	case reqEpoch != 0 && reqEpoch < v.Epoch:
 		id := r.PathValue("id")
 		owner, _ := rt.ownerFor(id)
 		if owner == "" || owner == rt.cfg.Self || rt.srv.HasLocal(id) {
-			local(w, r)
+			local.ServeHTTP(w, r)
 			return
 		}
 		w.Header().Set(epochHeader, strconv.FormatUint(v.Epoch, 10))
 		writeJSON(w, http.StatusMisdirectedRequest,
 			errorResponse{Error: "serve: ring epoch mismatch: request resolved under a stale view"})
 	default:
-		local(w, r)
+		local.ServeHTTP(w, r)
 	}
 }
 
@@ -344,11 +342,11 @@ func (rt *Router) serveForwarded(w http.ResponseWriter, r *http.Request, local h
 // accept client traffic without minting sessions it could never own.
 // While shedding (graceful drain) creation stays local so the 503 +
 // Retry-After admission-control answer reaches the client.
-func (rt *Router) routeCreate(local http.HandlerFunc) http.HandlerFunc {
+func (rt *Router) routeCreate(local http.Handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		v := rt.view()
 		if r.Header.Get(forwardedHeader) != "" || v.Contains(rt.cfg.Self) || rt.Draining() {
-			local(w, r)
+			local.ServeHTTP(w, r)
 			return
 		}
 		body, err := io.ReadAll(r.Body)
@@ -373,7 +371,7 @@ func (rt *Router) routeCreate(local http.HandlerFunc) http.HandlerFunc {
 		// under the same trace id the forward attempts carried.
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		r.Header.Set("traceparent", tr.Traceparent())
-		local(w, r)
+		local.ServeHTTP(w, r)
 	}
 }
 
@@ -445,7 +443,7 @@ const (
 // carries the segment's traceparent so the owner's handler trace joins
 // the same id, and on a relayed response the segment is retained locally
 // — so GET /v1/traces/{id} federates into one tree spanning both hops.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint, owner string, local http.HandlerFunc) {
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint, owner string, local http.Handler) {
 	var st *obs.StageTimer
 	if endpoint == "windows" {
 		st = obs.NewStageTimer()
@@ -464,7 +462,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint, owne
 		// same trace id so its traced() segment keeps the client's id.
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		r.Header.Set("traceparent", tr.Traceparent())
-		local(w, r)
+		local.ServeHTTP(w, r)
 	}
 	switch rt.tryForward(w, r, owner, body, tr) {
 	case fwdFail:
@@ -786,16 +784,13 @@ type ShardStats struct {
 func (rt *Router) stats() *ShardStats {
 	v := rt.view()
 	ring := v.Ring()
-	s := rt.srv
-	s.mu.RLock()
-	local := len(s.sessions)
+	local := rt.srv.LocalIDs()
 	owned := 0
-	for id := range s.sessions {
+	for _, id := range local {
 		if ring.Owner(id) == rt.cfg.Self {
 			owned++
 		}
 	}
-	s.mu.RUnlock()
 	rt.mu.Lock()
 	down := make([]string, 0, len(rt.down))
 	for n := range rt.down {
@@ -812,7 +807,7 @@ func (rt *Router) stats() *ShardStats {
 		Nodes:         v.Members,
 		Down:          down,
 		OwnedSessions: owned,
-		LocalSessions: local,
+		LocalSessions: len(local),
 		Forwards:      rt.mForwards.Value(),
 		Failovers:     rt.mFailovers.Value(),
 		Evicted:       mEvicted.Value(),

@@ -5,9 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime/pprof"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -373,6 +377,115 @@ func TestDrainCountsHandOffsUnderSpinningJanitor(t *testing.T) {
 	}
 	for _, si := range sessions {
 		tr.postWindow(t, tr.nodes[0], si)
+	}
+}
+
+// TestDrainShedsRacingCreates races eight create loops against a drain of
+// the replica they post to. Every create answers 201 or 503 with
+// Retry-After, and every 201 ends up handed off to the survivor. The
+// whole race runs under a 10 s deadline: CreateSessionCtx reads Draining
+// before taking s.mu because a hand-off holds the drain lock while it
+// takes s.mu, and an inversion of that order would hang here.
+func TestDrainShedsRacingCreates(t *testing.T) {
+	tr := newTopoTrio(t, 2, 50*time.Millisecond, 10*time.Second)
+	_, users := fixture(t)
+	node := tr.nodes[1]
+
+	var (
+		mu         sync.Mutex
+		created    []string
+		shed       int
+		unexpected []string
+	)
+	post := func(g int) (code int) {
+		js, _ := json.Marshal(CreateSessionRequest{UserID: users[g%len(users)].ID, ExpectedWindows: 16})
+		resp, err := http.Post(node+"/v1/sessions", "application/json", bytes.NewReader(js))
+		if err != nil {
+			mu.Lock()
+			unexpected = append(unexpected, err.Error())
+			mu.Unlock()
+			return 0
+		}
+		var cr CreateSessionResponse
+		_ = json.NewDecoder(resp.Body).Decode(&cr)
+		resp.Body.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case resp.StatusCode == http.StatusCreated:
+			created = append(created, cr.ID)
+		case resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "":
+			shed++
+		default:
+			unexpected = append(unexpected, resp.Status)
+		}
+		return resp.StatusCode
+	}
+	createdSoFar := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(created)
+	}
+
+	finished := make(chan error, 1)
+	go func() {
+		drained := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				// Post for as long as the drain runs (bounded).
+				for i := 0; i < 1000; i++ {
+					select {
+					case <-drained:
+						return
+					default:
+					}
+					if post(g) == 0 {
+						return
+					}
+				}
+			}(g)
+		}
+		// Give the drain some sessions to hand off before it starts.
+		for wait := time.Now().Add(5 * time.Second); createdSoFar() < 8 && time.Now().Before(wait); {
+			time.Sleep(time.Millisecond)
+		}
+		err := tr.routers[1].Drain(context.Background())
+		close(drained)
+		wg.Wait()
+		finished <- err
+	}()
+	select {
+	case err := <-finished:
+		if err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		// A deadlock wedges the cleanup too (httptest.Server.Close waits for
+		// the stuck handlers), so neither t.Fatal nor a panic would end the
+		// run: dump every goroutine and exit instead of hanging the suite.
+		_ = pprof.Lookup("goroutine").WriteTo(os.Stderr, 2)
+		fmt.Fprintln(os.Stderr, "--- FAIL: TestDrainShedsRacingCreates: creates racing a drain did not finish within 10s (lock-order inversion?)")
+		os.Exit(1)
+	}
+
+	if len(unexpected) > 0 {
+		t.Fatalf("creates racing the drain answered %v; want only 201 or 503 + Retry-After", unexpected)
+	}
+	if shed == 0 {
+		t.Fatalf("no create was shed: the drain never overlapped the create loops (%d created)", len(created))
+	}
+	t.Logf("%d creates answered 201, %d shed", len(created), shed)
+	ms := tr.routers[1].membStats()
+	if ms.DrainRemaining != 0 || len(tr.srvs[1].LocalIDs()) != 0 {
+		t.Fatalf("drain left sessions behind: stats %+v, %d local", ms, len(tr.srvs[1].LocalIDs()))
+	}
+	for _, id := range created {
+		if !tr.srvs[0].HasLocal(id) {
+			t.Fatalf("created session %s was not handed off to the survivor", id)
+		}
 	}
 }
 

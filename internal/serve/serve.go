@@ -56,6 +56,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -406,24 +407,18 @@ type Server struct {
 	// chaos tracks runtime-armed fault windows (chaos.go).
 	chaos chaosState
 
-	// shardFn, when set by the router, reports ring ownership for Stats.
-	// membFn reports the versioned ring-membership surface (stats +
-	// healthz); epochFn the current ring epoch, stamped into every fenced
-	// session persist so a lagging ex-owner's stale write loses at the
-	// store instead of clobbering the new owner's state.
-	shardMu sync.Mutex
-	shardFn func() *ShardStats
-	membFn  func() *MembershipStats
-	epochFn func() uint64
+	// ring is the router this replica serves under (nil single-replica),
+	// stored once by NewRouter. The Server reads it in four places: Stats
+	// (shard + membership blocks), handleHealthz (epoch, hash, draining),
+	// persistSessionDirect (the {epoch, seq} fence, so a lagging ex-owner's
+	// stale write loses at the store) and CreateSessionCtx (creates shed
+	// while the router drains).
+	ring atomic.Pointer[Router]
 
 	mu       sync.RWMutex
 	sessions map[string]*Session
 	seq      int64
 	draining bool
-	// shedCreates is graceful-drain admission control: creates shed with
-	// ErrDraining while everything else keeps serving (distinct from
-	// draining, which is full shutdown).
-	shedCreates bool
 
 	start time.Time
 }
@@ -696,18 +691,21 @@ func (s *Server) CreateSessionCtx(ctx context.Context, userID int, expectedWindo
 		mWBShed.Inc()
 		return nil, fmt.Errorf("%w (queue %d)", ErrNotDurable, s.wb.depth())
 	}
+	// Graceful drain: this replica is leaving the ring. Only creates are
+	// shed (another member accepts them after one Retry-After); established
+	// sessions keep serving until their hand-off lands. Draining is read
+	// before s.mu: a hand-off holds the drain lock while it takes s.mu, so
+	// reading it under s.mu would invert that order. A create that slips
+	// past as the drain begins is handed off by the drain pass.
+	rt := s.ring.Load()
+	if rt != nil && rt.Draining() {
+		mShed.Inc()
+		return nil, ErrDraining
+	}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		return nil, ErrShutdown
-	}
-	if s.shedCreates {
-		// Graceful drain: this replica is leaving the ring. Only creates
-		// are shed (another member accepts them after one Retry-After);
-		// established sessions keep serving until their handoff lands.
-		s.mu.Unlock()
-		mShed.Inc()
-		return nil, ErrDraining
 	}
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		s.mu.Unlock()
@@ -722,6 +720,11 @@ func (s *Server) CreateSessionCtx(ctx context.Context, userID int, expectedWindo
 	for i := 0; s.cfg.OwnsID != nil && !s.cfg.OwnsID(id); i++ {
 		if i >= 1<<16 {
 			s.mu.Unlock()
+			if rt != nil && rt.Draining() {
+				// The drain left the ring after the check above.
+				mShed.Inc()
+				return nil, ErrDraining
+			}
 			return nil, fmt.Errorf("%w: cannot mint a locally-owned session id", ErrOverloaded)
 		}
 		s.seq++
@@ -993,74 +996,11 @@ func (s *Server) Stats() Stats {
 		st.Store = &ss
 		st.WriteBehind = s.wb.statsSnap()
 	}
-	s.shardMu.Lock()
-	fn := s.shardFn
-	s.shardMu.Unlock()
-	if fn != nil {
-		st.Shard = fn()
+	if rt := s.ring.Load(); rt != nil {
+		st.Shard = rt.stats()
+		st.Membership = rt.membStats()
 	}
-	st.Membership = s.membershipStats()
 	return st
-}
-
-// SetShardStats installs the router's ring-ownership reporter, surfaced
-// as the "shard" block in /v1/stats.
-func (s *Server) SetShardStats(f func() *ShardStats) {
-	s.shardMu.Lock()
-	s.shardFn = f
-	s.shardMu.Unlock()
-}
-
-// SetMembershipStats installs the router's versioned-ring reporter,
-// surfaced as the "membership" stats block and the epoch/hash fields of
-// /healthz (where peers detect membership skew).
-func (s *Server) SetMembershipStats(f func() *MembershipStats) {
-	s.shardMu.Lock()
-	s.membFn = f
-	s.shardMu.Unlock()
-}
-
-// SetEpochSource installs the ring-epoch reader. Once set, every session
-// persist goes through the store's conditional put fenced at
-// {current epoch, per-session persist seq}, so a replica writing under an
-// older topology loses to the session's new owner instead of silently
-// clobbering its state.
-func (s *Server) SetEpochSource(f func() uint64) {
-	s.shardMu.Lock()
-	s.epochFn = f
-	s.shardMu.Unlock()
-	// The journal stamps the same epoch onto every event it records, so
-	// the fleet merge can order cross-node events causally.
-	s.journal.SetEpochSource(f)
-}
-
-// epochSource returns the installed epoch reader (nil in single-replica
-// deployments, which keep unconditional persists).
-func (s *Server) epochSource() func() uint64 {
-	s.shardMu.Lock()
-	defer s.shardMu.Unlock()
-	return s.epochFn
-}
-
-// membershipStats returns the installed membership reporter's snapshot
-// (nil outside router mode).
-func (s *Server) membershipStats() *MembershipStats {
-	s.shardMu.Lock()
-	fn := s.membFn
-	s.shardMu.Unlock()
-	if fn == nil {
-		return nil
-	}
-	return fn()
-}
-
-// SetShedCreates toggles graceful-drain admission control: while on, new
-// session creates shed with ErrDraining (503 + Retry-After) and
-// everything else keeps serving.
-func (s *Server) SetShedCreates(on bool) {
-	s.mu.Lock()
-	s.shedCreates = on
-	s.mu.Unlock()
 }
 
 // HasLocal reports whether id is live in this replica's registry (no

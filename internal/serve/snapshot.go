@@ -307,11 +307,10 @@ func (s *Server) persistSession(ctx context.Context, sess *Session) error {
 
 // persistSessionDirect does one encode + put round-trip, with failure
 // accounting but no breaker/queue interaction — the primitive shared by
-// the write-through path and the replay drain. With
-// an epoch source installed (router mode) the put is fenced at
-// {ring epoch, per-session persist seq}: the store rejects the write with
-// store.ErrFenced when its record carries a strictly newer fence, so a
-// lagging ex-owner cannot clobber the new owner's state.
+// the write-through path and the replay drain. In router mode the put is
+// fenced at {ring epoch, per-session persist seq}: the store rejects the
+// write with store.ErrFenced when its record carries a strictly newer
+// fence, so a lagging ex-owner cannot clobber the new owner's state.
 func (s *Server) persistSessionDirect(ctx context.Context, sess *Session) error {
 	s.mu.RLock()
 	seq := s.seq
@@ -323,14 +322,14 @@ func (s *Server) persistSessionDirect(ctx context.Context, sess *Session) error 
 		return nil // closed: its terminal delete path owns durability
 	}
 	rec.Events = sess.flight.events()
-	epochFn := s.epochSource()
+	rt := s.ring.Load()
 	var fence store.Fence
-	if epochFn != nil {
-		fence = store.Fence{Epoch: epochFn(), Seq: atomic.AddUint64(&sess.fenceSeq, 1)}
+	if rt != nil {
+		fence = store.Fence{Epoch: rt.memb.Epoch(), Seq: atomic.AddUint64(&sess.fenceSeq, 1)}
 	}
 	data, err := encodeSessionRec(seq, fence.Seq, rec, maps)
 	if err == nil {
-		if epochFn != nil {
+		if rt != nil {
 			err = s.cfg.Store.PutSessionFenced(ctx, rec.ID, fence, data)
 		} else {
 			err = s.cfg.Store.PutSession(ctx, rec.ID, data)
