@@ -27,6 +27,7 @@ type Importance struct {
 // PermutationImportance measures how much each named row group contributes
 // to the model's accuracy on data. Groups map display names to feature-map
 // row indices; repeats averages over that many independent permutations.
+// Groups draw from the seeded RNG in name order.
 func PermutationImportance(m *nn.Model, data []nn.Sample, groups map[string][]int, repeats int, seed int64) ([]Importance, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("eval: no data for importance")
@@ -37,8 +38,14 @@ func PermutationImportance(m *nn.Model, data []nn.Sample, groups map[string][]in
 	base := nn.Accuracy(m, data)
 	rng := rand.New(rand.NewSource(seed))
 
+	names := make([]string, 0, len(groups))
+	for name := range groups {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	var out []Importance
-	for name, rows := range groups {
+	for _, name := range names {
+		rows := groups[name]
 		dropSum := 0.0
 		for r := 0; r < repeats; r++ {
 			perm := rng.Perm(len(data))

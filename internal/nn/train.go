@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/tensor"
@@ -280,17 +281,24 @@ func Train(m *Model, data []Sample, cfg TrainConfig) (*TrainResult, error) {
 	return res, nil
 }
 
-// stratifiedSplit holds out frac of each class for validation.
+// stratifiedSplit holds out frac of each class for validation. Classes are
+// visited in label order, so the shuffles draw from rng in a fixed sequence.
 func stratifiedSplit(data []Sample, frac float64, rng *rand.Rand) (train, val []Sample) {
 	if frac <= 0 || len(data) < 4 {
 		return data, nil
 	}
 	byClass := map[int][]int{}
+	var classes []int
 	for i, s := range data {
+		if _, ok := byClass[s.Y]; !ok {
+			classes = append(classes, s.Y)
+		}
 		byClass[s.Y] = append(byClass[s.Y], i)
 	}
+	sort.Ints(classes)
 	valSet := map[int]bool{}
-	for _, idxs := range byClass {
+	for _, y := range classes {
+		idxs := byClass[y]
 		rng.Shuffle(len(idxs), func(i, j int) { idxs[i], idxs[j] = idxs[j], idxs[i] })
 		n := int(frac * float64(len(idxs)))
 		if n < 1 && len(idxs) > 1 {
