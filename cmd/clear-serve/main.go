@@ -310,27 +310,9 @@ func main() {
 // population, returning the per-cluster dominant ground-truth archetypes
 // for the /v1/stats diagnostic.
 func trainPipeline(profile string, seed int64, scale float64) (*core.Pipeline, []int) {
-	var cfg core.Config
-	switch profile {
-	case "fast":
-		cfg = core.DefaultConfig()
-	case "paper":
-		cfg = core.PaperConfig()
-	default:
-		die(fmt.Errorf("unknown profile %q", profile))
-	}
-	cfg.Seed = seed
-	dcfg := wemac.DefaultConfig()
-	dcfg.Seed = seed
-	if scale != 1.0 {
-		for i, s := range dcfg.ArchetypeSizes {
-			n := int(float64(s)*scale + 0.5)
-			if n < 2 {
-				n = 2
-			}
-			dcfg.ArchetypeSizes[i] = n
-		}
-	}
+	cfg, err := core.ProfileConfig(profile, seed)
+	die(err)
+	dcfg := wemac.ScaledConfig(seed, scale)
 	start := time.Now()
 	fmt.Printf("generating synthetic WEMAC population (%v volunteers)...\n", dcfg.ArchetypeSizes)
 	gsp := obs.StartSpan("serve.generate")

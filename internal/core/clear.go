@@ -125,6 +125,22 @@ func PaperConfig() Config {
 	return cfg
 }
 
+// ProfileConfig returns the named experiment profile, "fast"
+// (DefaultConfig) or "paper" (PaperConfig), with its Seed set.
+func ProfileConfig(profile string, seed int64) (Config, error) {
+	var cfg Config
+	switch profile {
+	case "fast":
+		cfg = DefaultConfig()
+	case "paper":
+		cfg = PaperConfig()
+	default:
+		return Config{}, fmt.Errorf("core: unknown profile %q (want fast or paper)", profile)
+	}
+	cfg.Seed = seed
+	return cfg, nil
+}
+
 // WithDefaults returns a copy of c with unset fields defaulted and the
 // model input dimensions sized to the extractor output.
 func (c Config) WithDefaults() Config {

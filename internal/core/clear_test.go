@@ -309,6 +309,18 @@ func TestDefaultAndPaperConfigs(t *testing.T) {
 	if pc.Model.Conv1 <= d.Model.Conv1 {
 		t.Error("paper profile should be wider than fast profile")
 	}
+	for _, name := range []string{"fast", "paper"} {
+		cfg, err := ProfileConfig(name, 9)
+		if err != nil || cfg.Seed != 9 {
+			t.Errorf("ProfileConfig(%q, 9) = seed %d, %v", name, cfg.Seed, err)
+		}
+	}
+	if cfg, _ := ProfileConfig("paper", 1); cfg.Model != pc.Model {
+		t.Error(`ProfileConfig("paper") is not PaperConfig`)
+	}
+	if _, err := ProfileConfig("nosuch", 1); err == nil {
+		t.Error("unknown profile must fail")
+	}
 }
 
 func TestAugmentFT(t *testing.T) {

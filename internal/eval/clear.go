@@ -35,10 +35,9 @@ type LOSOFold struct {
 // LOSORun is the full set of folds. Both the Table I CLEAR rows and all of
 // Table II consume one run, so the expensive training happens once.
 type LOSORun struct {
-	Users  []*wemac.UserMaps
-	Cfg    core.Config
-	CAFrac float64
-	Folds  []LOSOFold
+	Users []*wemac.UserMaps
+	Cfg   core.Config
+	Folds []LOSOFold
 }
 
 // RunLOSO trains one pipeline per held-out volunteer (the paper's CLEAR
@@ -50,7 +49,7 @@ func RunLOSO(users []*wemac.UserMaps, cfg core.Config, caFrac float64, progress 
 	if len(users) < cfg.K+1 {
 		return nil, fmt.Errorf("eval: %d users too few for K=%d LOSO", len(users), cfg.K)
 	}
-	run := &LOSORun{Users: users, Cfg: cfg, CAFrac: caFrac}
+	run := &LOSORun{Users: users, Cfg: cfg}
 	sp := obs.StartSpan("eval.loso")
 	defer sp.End()
 	gLOSOTotal.Set(float64(len(users)))
@@ -80,23 +79,36 @@ func RunLOSO(users []*wemac.UserMaps, cfg core.Config, caFrac float64, progress 
 	return run, nil
 }
 
-// ClusterOnly exposes the clustering-only pipeline construction for
-// assignment ablations (no model training).
-func ClusterOnly(users []*wemac.UserMaps, cfg core.Config) (*core.Pipeline, error) {
-	return core.ClusterOnly(users, cfg.WithDefaults())
+// ColdStartAccuracy LOSO-clusters the population (no model training) and
+// returns how often a held-out user, assigned from frac of their unlabeled
+// maps, lands on the cluster their ground-truth archetype dominates: under
+// the hierarchical rule, and under the flat nearest-centroid rule
+// (ablation A2).
+func ColdStartAccuracy(users []*wemac.UserMaps, cfg core.Config, frac float64) (hier, flat float64, err error) {
+	cfg = cfg.WithDefaults()
+	nh, nf := 0, 0
+	for i, u := range users {
+		train := withoutIndex(users, i)
+		p, err := core.ClusterOnly(train, cfg)
+		if err != nil {
+			return 0, 0, err
+		}
+		if DominantArchetype(p, train, p.Assign(u, frac).Cluster) == u.Archetype {
+			nh++
+		}
+		if DominantArchetype(p, train, p.Hier.AssignFlat(p.Std.Apply(u.Summary(frac)))) == u.Archetype {
+			nf++
+		}
+	}
+	n := float64(len(users))
+	return float64(nh) / n, float64(nf) / n, nil
 }
 
 // DominantArchetype returns the most common ground-truth archetype among
-// the training users assigned to cluster k.
-func DominantArchetype(p *core.Pipeline, train []*wemac.UserMaps, k int) int {
-	return dominantArchetype(p, train, k)
-}
-
-// dominantArchetype returns the most common ground-truth archetype among
 // the training users assigned to cluster k. Ties break toward the lower
 // archetype index — a fixed rule, so the diagnostic is deterministic run
 // to run instead of riding on map iteration order.
-func dominantArchetype(p *core.Pipeline, train []*wemac.UserMaps, k int) int {
+func DominantArchetype(p *core.Pipeline, train []*wemac.UserMaps, k int) int {
 	counts := archetypeCounts(p, train, k)
 	best, bestArch := -1, -1
 	for a, c := range counts {
@@ -121,7 +133,7 @@ func archetypeCounts(p *core.Pipeline, train []*wemac.UserMaps, k int) map[int]i
 // ground-truth archetypes. A cluster whose majority is tied represents
 // every tied archetype equally — the clustering merged them — so
 // assigning a user of any tied archetype is not a cold-start mistake.
-// (dominantArchetype stays single-valued for surfaces that need one label
+// (DominantArchetype stays single-valued for surfaces that need one label
 // per cluster, e.g. /v1/stats.)
 func archetypeMatches(p *core.Pipeline, train []*wemac.UserMaps, k, arch int) bool {
 	counts := archetypeCounts(p, train, k)

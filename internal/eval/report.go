@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// Report renders experiment results as GitHub-flavoured markdown, so the
-// cmd binaries can regenerate EXPERIMENTS.md sections directly.
+// Report renders experiment results as GitHub-flavoured markdown;
+// FormatRT builds the online RT report with it.
 type Report struct {
 	b strings.Builder
 }
@@ -51,17 +51,6 @@ func (r *Report) Table(header []string, rows [][]string) *Report {
 		fmt.Fprintf(&r.b, "| %s |\n", strings.Join(cells, " | "))
 	}
 	return r
-}
-
-// AggRow formats an aggregate as "acc ± std / f1 ± std" table cells.
-func AggRow(name string, a Agg, paperAcc, paperF1 string) []string {
-	return []string{
-		name,
-		fmt.Sprintf("%.2f ± %.2f", a.MeanAcc, a.StdAcc),
-		fmt.Sprintf("%.2f ± %.2f", a.MeanF1, a.StdF1),
-		paperAcc,
-		paperF1,
-	}
 }
 
 // String returns the rendered markdown.

@@ -227,7 +227,7 @@ func (s *Session) PushWindowCtx(ctx context.Context, m *tensorT) (WindowResult, 
 
 	// Stage attribution: the HTTP layer plants a StageTimer in ctx (and
 	// flushes it); direct in-process callers get a session-owned timer so
-	// the stage histograms cover embedded use (bench/, clear-rt) too.
+	// the stage histograms cover embedded use (bench/, clear-repro -only rt) too.
 	st := obs.StageTimerOf(ctx)
 	ownStages := false
 	if st == nil {

@@ -114,6 +114,22 @@ func DefaultConfig() Config {
 	}
 }
 
+// ScaledConfig is DefaultConfig with the given seed and every archetype's
+// volunteer count scaled by scale, rounded to nearest and kept at 2 or
+// more so each archetype can still hold a LOSO fold out.
+func ScaledConfig(seed int64, scale float64) Config {
+	c := DefaultConfig()
+	c.Seed = seed
+	for i, s := range c.ArchetypeSizes {
+		n := int(float64(s)*scale + 0.5)
+		if n < 2 {
+			n = 2
+		}
+		c.ArchetypeSizes[i] = n
+	}
+	return c
+}
+
 func (c *Config) fillDefaults() {
 	if len(c.ArchetypeSizes) == 0 {
 		c.ArchetypeSizes = DefaultArchetypeSizes()

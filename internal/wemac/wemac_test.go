@@ -1,6 +1,7 @@
 package wemac
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -69,6 +70,24 @@ func TestGenerateDeterministic(t *testing.T) {
 					t.Fatalf("volunteer %d trial %d BVP differs at %d", i, j, k)
 				}
 			}
+		}
+	}
+}
+
+func TestScaledConfig(t *testing.T) {
+	for _, tc := range []struct {
+		scale float64
+		want  []int
+	}{
+		{1.0, []int{17, 13, 7, 7}},
+		{0.6, []int{10, 8, 4, 4}},
+		{0.25, []int{4, 3, 2, 2}},
+		{0.05, []int{2, 2, 2, 2}}, // every archetype clamps to 2
+	} {
+		c := ScaledConfig(3, tc.scale)
+		if c.Seed != 3 || fmt.Sprint(c.ArchetypeSizes) != fmt.Sprint(tc.want) {
+			t.Errorf("ScaledConfig(3, %v) = seed %d sizes %v, want seed 3 sizes %v",
+				tc.scale, c.Seed, c.ArchetypeSizes, tc.want)
 		}
 	}
 }
