@@ -1,11 +1,9 @@
 // Command clear-export generates the synthetic WEMAC-like corpus and
-// writes it to disk: the full binary corpus (reloadable with
-// wemac.ReadDataset), a per-trial raw-signal CSV, or the extracted
-// 123-feature maps as CSV for analysis with external tooling.
+// writes it to disk as CSV for analysis with external tooling: the
+// extracted 123-feature maps, or one trial's raw signals.
 //
 // Usage:
 //
-//	clear-export -out corpus.bin                      # binary corpus
 //	clear-export -csv features.csv                    # feature-map CSV
 //	clear-export -trial trial.csv -user 3 -index 2    # one trial's signals
 package main
@@ -23,7 +21,6 @@ func main() {
 	var (
 		seed    = flag.Int64("seed", 1, "generation seed")
 		scale   = flag.Float64("scale", 1.0, "population scale factor")
-		out     = flag.String("out", "", "write the binary corpus to this path")
 		csv     = flag.String("csv", "", "write extracted feature maps as CSV to this path")
 		trial   = flag.String("trial", "", "write one trial's raw signals as CSV to this path")
 		user    = flag.Int("user", 0, "volunteer ID for -trial")
@@ -31,8 +28,8 @@ func main() {
 		windows = flag.Int("windows", 8, "feature-map windows for -csv")
 	)
 	flag.Parse()
-	if *out == "" && *csv == "" && *trial == "" {
-		fmt.Fprintln(os.Stderr, "clear-export: nothing to do; pass -out, -csv or -trial")
+	if *csv == "" && *trial == "" {
+		fmt.Fprintln(os.Stderr, "clear-export: nothing to do; pass -csv or -trial")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -50,16 +47,6 @@ func main() {
 	}
 	fmt.Printf("generating population %v (seed %d)...\n", dcfg.ArchetypeSizes, *seed)
 	ds := wemac.Generate(dcfg)
-
-	if *out != "" {
-		f, err := os.Create(*out)
-		die(err)
-		n, err := ds.WriteTo(f)
-		die(err)
-		die(f.Close())
-		fmt.Printf("wrote binary corpus: %s (%.1f MiB, %d volunteers)\n",
-			*out, float64(n)/(1<<20), ds.N())
-	}
 
 	if *csv != "" {
 		users, err := wemac.ExtractAll(ds, features.ExtractorConfig{WindowSec: 8, Windows: *windows})

@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "master seed for data and training")
 	scale := fs.Float64("scale", 0, "population scale for every experiment (0: each experiment's default, 1.0 or 0.6 for ablate)")
 	profile := fs.String("profile", "fast", "experiment profile: fast or paper")
-	obsAddr := fs.String("obs", "", "serve /metrics, /debug/vars, /debug/pprof, /debug/spans on this address (e.g. :9090)")
+	obsAddr := fs.String("obs", "", "serve /metrics, /debug/metrics, /debug/pprof, /debug/spans on this address (e.g. :9090)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

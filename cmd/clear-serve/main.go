@@ -50,8 +50,8 @@
 //
 // Every replica serves one route table (internal/serve/http.go): the
 // session API, /v1/stats, /v1/slo, /v1/events, /v1/traces/{id}, /healthz,
-// /v1/chaos and the observability surface (/metrics, /debug/pprof,
-// /debug/vars, /debug/spans) on the API port — no separate -obs port
+// /v1/chaos and the observability surface (/metrics, /debug/metrics,
+// /debug/pprof, /debug/spans) on the API port — no separate -obs port
 // needed. Router mode (-peers) adds /v1/fleet, /v1/membership and
 // /v1/rehydrate, and federates /v1/traces/{id} across the ring.
 // Structured request logs (JSON, trace-correlated) go to

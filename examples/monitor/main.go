@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	obsAddr := flag.String("obs", "", "serve /metrics, /debug/vars, /debug/pprof, /debug/spans on this address (e.g. :9090)")
+	obsAddr := flag.String("obs", "", "serve /metrics, /debug/metrics, /debug/pprof, /debug/spans on this address (e.g. :9090)")
 	flag.Parse()
 	if *obsAddr != "" {
 		addr, err := obs.Serve(*obsAddr)

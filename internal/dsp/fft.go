@@ -46,20 +46,6 @@ func FFT(x []complex128) []complex128 {
 	return x
 }
 
-// IFFT computes the inverse FFT of x in place and returns it.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	FFT(x)
-	inv := 1 / float64(n)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) * complex(inv, 0)
-	}
-	return x
-}
-
 // NextPow2 returns the smallest power of two ≥ n (and ≥ 1).
 func NextPow2(n int) int {
 	p := 1
@@ -67,26 +53,6 @@ func NextPow2(n int) int {
 		p <<= 1
 	}
 	return p
-}
-
-// RealFFT computes the FFT of a real signal, zero-padded to the next power
-// of two, and returns the complex spectrum (full length).
-func RealFFT(x []float64) []complex128 {
-	n := NextPow2(len(x))
-	c := make([]complex128, n)
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	return FFT(c)
-}
-
-// Magnitudes returns |x[i]| for each element.
-func Magnitudes(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
 }
 
 // HannWindow returns the length-n Hann window.

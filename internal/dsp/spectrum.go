@@ -1,7 +1,6 @@
 package dsp
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -98,14 +97,6 @@ func (p PSD) BandPower(lo, hi float64) float64 {
 	return total
 }
 
-// TotalPower integrates the PSD over its full range.
-func (p PSD) TotalPower() float64 {
-	if len(p.Freqs) == 0 {
-		return 0
-	}
-	return p.BandPower(p.Freqs[0], p.Freqs[len(p.Freqs)-1])
-}
-
 // PeakFrequency returns the frequency of the highest-power bin within
 // [lo, hi] Hz, or 0 if the band is empty.
 func (p PSD) PeakFrequency(lo, hi float64) float64 {
@@ -144,23 +135,4 @@ func (p PSD) SpectralEntropy(lo, hi float64) float64 {
 		}
 	}
 	return h / math.Log(float64(len(probs)))
-}
-
-// String implements fmt.Stringer.
-func (p PSD) String() string {
-	return fmt.Sprintf("PSD{%d bins, %.3g–%.3g Hz}", len(p.Freqs), first(p.Freqs), last(p.Freqs))
-}
-
-func first(x []float64) float64 {
-	if len(x) == 0 {
-		return math.NaN()
-	}
-	return x[0]
-}
-
-func last(x []float64) float64 {
-	if len(x) == 0 {
-		return math.NaN()
-	}
-	return x[len(x)-1]
 }

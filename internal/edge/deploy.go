@@ -35,14 +35,6 @@ func DeployCalibrated(m *nn.Model, d Device, calib []*tensor.Tensor) *Deployment
 	return dep
 }
 
-// Predict runs one on-device inference.
-func (dep *Deployment) Predict(x *nn.Sample) int { return dep.Model.Predict(x.X) }
-
-// Accuracy evaluates the deployed model on data.
-func (dep *Deployment) Accuracy(data []nn.Sample) float64 {
-	return nn.Accuracy(dep.Model, data)
-}
-
 // FineTune re-trains the deployed model on-device with the user's labelled
 // samples. Weights are re-quantised to device precision after every epoch
 // (the accelerator can only store device-precision weights), which is what

@@ -129,9 +129,9 @@ func TestDeployPrecisionAccuracyOrdering(t *testing.T) {
 	if _, err := nn.Train(m, train, nn.TrainConfig{Epochs: 15, BatchSize: 8, LR: 3e-3, Seed: 13}); err != nil {
 		t.Fatal(err)
 	}
-	accGPU := Deploy(m, GPU()).Accuracy(test)
-	accNCS := Deploy(m, PiNCS2()).Accuracy(test)
-	accTPU := Deploy(m, CoralTPU()).Accuracy(test)
+	accGPU := nn.Accuracy(Deploy(m, GPU()).Model, test)
+	accNCS := nn.Accuracy(Deploy(m, PiNCS2()).Model, test)
+	accTPU := nn.Accuracy(Deploy(m, CoralTPU()).Model, test)
 	if accGPU < 0.8 {
 		t.Fatalf("GPU accuracy %.3f too low for the ordering test to mean anything", accGPU)
 	}

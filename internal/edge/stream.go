@@ -177,9 +177,6 @@ func (m *Monitor) Observe(raw float64) Event {
 	}
 }
 
-// Alarmed reports the current alarm state.
-func (m *Monitor) Alarmed() bool { return m.alarmed }
-
 // Stats returns this monitor's own accounting since construction or the
 // last Reset. The global obs metrics are process-wide aggregates and are
 // deliberately not affected by Reset.

@@ -40,7 +40,7 @@ func TestMonitorResetMatchesFresh(t *testing.T) {
 	for i := 0; i < 17; i++ {
 		recycled.Observe(0.95) // latches the alarm and pushes the EWMA high
 	}
-	if !recycled.Alarmed() {
+	if !recycled.alarmed {
 		t.Fatal("setup: monitor should be alarmed before Reset")
 	}
 	recycled.Reset()
@@ -48,7 +48,7 @@ func TestMonitorResetMatchesFresh(t *testing.T) {
 	if st := recycled.Stats(); st != (MonitorStats{}) {
 		t.Fatalf("Reset left per-monitor stats %+v", st)
 	}
-	if recycled.Alarmed() {
+	if recycled.alarmed {
 		t.Fatal("Reset left the alarm latched")
 	}
 

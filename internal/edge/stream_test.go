@@ -176,7 +176,7 @@ func TestMonitorAlarmCycle(t *testing.T) {
 		t.Fatal("alarm never cleared after recovery")
 	}
 	mon.Reset()
-	if mon.Alarmed() {
+	if mon.alarmed {
 		t.Error("Reset must clear the alarm")
 	}
 }

@@ -177,15 +177,3 @@ func (in *Injector) Counts() map[Point]int64 {
 	}
 	return out
 }
-
-// Armed reports whether any point is armed. Nil-safe; lets call sites skip
-// setup work (e.g. cloning a window before corruption) when injection is
-// entirely off.
-func (in *Injector) Armed() bool {
-	if in == nil {
-		return false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.rates) > 0
-}

@@ -19,9 +19,6 @@ func TestNilInjectorNeverFires(t *testing.T) {
 	if in.Intn(7) != 0 {
 		t.Fatal("nil injector drew a nonzero choice")
 	}
-	if in.Armed() {
-		t.Fatal("nil injector reports armed")
-	}
 	if in.Counts() != nil {
 		t.Fatal("nil injector has counts")
 	}
@@ -35,8 +32,10 @@ func TestZeroRateNeverFires(t *testing.T) {
 		}
 	}
 	in.Enable(ModelBuild, 0.5).Enable(ModelBuild, 0)
-	if in.Armed() {
-		t.Fatal("disarmed injector reports armed")
+	for i := 0; i < 1000; i++ {
+		if in.Fire(ModelBuild) {
+			t.Fatal("disarmed point fired")
+		}
 	}
 }
 

@@ -198,15 +198,6 @@ func (n *Normalizer) Apply(m *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// ApplyAll z-scores a batch of maps.
-func (n *Normalizer) ApplyAll(maps []*tensor.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(maps))
-	for i, m := range maps {
-		out[i] = n.Apply(m)
-	}
-	return out
-}
-
 // Summary returns the per-user feature summary vector used for clustering:
 // the per-feature mean over all columns of all the user's maps. This is the
 // D ∈ R^{F×N} construction from the paper's Global Clustering step.

@@ -240,11 +240,11 @@ func TestNormalizer(t *testing.T) {
 		maps = append(maps, m)
 	}
 	norm := FitNormalizer(maps)
-	normed := norm.ApplyAll(maps)
 	// Pooled per-row mean ≈ 0, std ≈ 1.
 	for f := 0; f < 4; f++ {
 		var vals []float64
-		for _, m := range normed {
+		for _, m := range maps {
+			m = norm.Apply(m)
 			for j := 0; j < 6; j++ {
 				vals = append(vals, m.At(f, j))
 			}

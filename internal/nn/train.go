@@ -183,8 +183,6 @@ func Train(m *Model, data []Sample, cfg TrainConfig) (*TrainResult, error) {
 	} else if cfg.Verbose {
 		logf = stdoutLogger{}.Logf
 	}
-	sp := obs.StartSpan("nn.train")
-	defer sp.End()
 	mTrainRuns.Inc()
 
 	res := &TrainResult{}

@@ -106,3 +106,20 @@ func TestTrainOnEpochFiresOnEarlyStop(t *testing.T) {
 		t.Fatalf("hook ran %d times over %d epochs", calls, res.Epochs)
 	}
 }
+
+// TestTrainLeavesSpanTreeAlone checks that Train opens no span on the
+// process-global background trace: concurrent trainings (the fine-tune
+// pool runs several) would otherwise nest inside one another there, and
+// the callers already time the interval in their own spans.
+func TestTrainLeavesSpanTreeAlone(t *testing.T) {
+	cfg := tinyConfig()
+	m := NewCNNLSTM(cfg)
+	train, _ := trainToy(t, cfg, 40, 13)
+	before := obs.SpanTree()
+	if _, err := Train(m, train, TrainConfig{Epochs: 2, BatchSize: 8, LR: 3e-3, Seed: 13}); err != nil {
+		t.Fatal(err)
+	}
+	if after := obs.SpanTree(); after != before {
+		t.Fatalf("Train changed the background span tree:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+}

@@ -2,7 +2,7 @@
 // process-global metrics registry (counters, gauges, fixed-bucket
 // histograms with quantile snapshots), hierarchical wall-clock spans that
 // render as an indented trace tree, and optional HTTP wiring for
-// /debug/pprof, /debug/vars, and /metrics.
+// /metrics, /debug/metrics, /debug/spans and /debug/pprof.
 //
 // The paper's edge evaluation is a measurement exercise — mean time
 // consumption (MTC) and mean power consumption (MPC) per platform — so the
@@ -19,7 +19,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"sort"
@@ -36,13 +35,8 @@ type Counter struct {
 // Inc adds one to the counter.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n to the counter.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-func (c *Counter) reset() { c.v.Store(0) }
 
 // Gauge is a last-value (or accumulated) float64 measurement.
 type Gauge struct {
@@ -66,8 +60,6 @@ func (g *Gauge) Add(d float64) {
 
 // Value returns the gauge's current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) reset() { g.bits.Store(0) }
 
 // Histogram is a fixed-bucket distribution with atomic per-bucket counts.
 // Bounds are inclusive upper bucket edges; observations above the last
@@ -203,19 +195,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.Max()
 }
 
-// Buckets snapshots the histogram's bucket layout: bounds are the
-// inclusive upper edges and counts has len(bounds)+1 entries, the last
-// being the overflow bucket. The SLO tracker diffs successive snapshots to
-// compute windowed latency-threshold rates.
-func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
-	bounds = append([]float64(nil), h.bounds...)
-	counts = make([]int64, len(h.buckets))
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-	}
-	return bounds, counts
-}
-
 // CumulativeCount returns the number of observations in buckets whose
 // upper edge is ≤ le — i.e. observations known to be ≤ le at bucket
 // resolution. Used for latency-SLO "good event" counting, where le is
@@ -229,16 +208,6 @@ func (h *Histogram) CumulativeCount(le float64) int64 {
 		n += h.buckets[i].Load()
 	}
 	return n
-}
-
-func (h *Histogram) reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.reset()
-	h.min.Store(math.Float64bits(math.Inf(1)))
-	h.max.Store(math.Float64bits(math.Inf(-1)))
 }
 
 // ExpBuckets returns n exponentially spaced bucket bounds starting at
@@ -373,80 +342,6 @@ func (r *Registry) HistogramVec(name string, bounds []float64, labels []string) 
 	return v
 }
 
-// Reset zeroes every registered metric in place. Handles held by
-// instrumented packages stay valid, so tests can isolate accounting
-// without re-registering.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.reset()
-	}
-	for _, g := range r.gauges {
-		g.reset()
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
-	for _, v := range r.cvecs {
-		v.reset()
-	}
-	for _, v := range r.gvecs {
-		v.reset()
-	}
-	for _, v := range r.hvecs {
-		v.reset()
-	}
-}
-
-// histSummary is the JSON-friendly quantile digest shared by Snapshot and
-// the expvar export.
-func histSummary(h *Histogram) map[string]any {
-	return map[string]any{
-		"count": h.Count(),
-		"sum":   h.Sum(),
-		"min":   h.Min(),
-		"max":   h.Max(),
-		"p50":   h.Quantile(0.50),
-		"p95":   h.Quantile(0.95),
-		"p99":   h.Quantile(0.99),
-	}
-}
-
-// Snapshot returns a JSON-friendly view of every metric, used by the
-// expvar export. Vec children appear under `name{label=value,…}` keys;
-// encoding/json sorts map keys, so the marshalled form is deterministic.
-func (r *Registry) Snapshot() map[string]any {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := map[string]any{}
-	for name, c := range r.counters {
-		out[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		out[name] = histSummary(h)
-	}
-	for name, v := range r.cvecs {
-		v.each(func(values []string, c *Counter) {
-			out[name+labelPairs(v.labels, values)] = c.Value()
-		})
-	}
-	for name, v := range r.gvecs {
-		v.each(func(values []string, g *Gauge) {
-			out[name+labelPairs(v.labels, values)] = g.Value()
-		})
-	}
-	for name, v := range r.hvecs {
-		v.each(func(values []string, h *Histogram) {
-			out[name+labelPairs(v.labels, values)] = histSummary(h)
-		})
-	}
-	return out
-}
-
 // Dump renders every metric as sorted plain text, one per line — the
 // payload of the /debug/metrics endpoint and of the end-of-run snapshot
 // the binaries print. The output is deterministically ordered (sorted by
@@ -493,21 +388,8 @@ func (r *Registry) Dump() string {
 // def is the process-global registry used by all instrumented packages.
 var def = NewRegistry()
 
-var publishOnce sync.Once
-
 // Default returns the process-global registry.
-func Default() *Registry {
-	publishExpvar()
-	return def
-}
-
-// publishExpvar exposes the default registry under the "clear" expvar key
-// so /debug/vars includes the pipeline metrics alongside memstats.
-func publishExpvar() {
-	publishOnce.Do(func() {
-		expvar.Publish("clear", expvar.Func(func() any { return def.Snapshot() }))
-	})
-}
+func Default() *Registry { return def }
 
 // GetCounter returns a counter from the default registry.
 func GetCounter(name string) *Counter { return def.Counter(name) }
@@ -532,6 +414,3 @@ func GetHistogramVec(name string, bounds []float64, labels ...string) *Histogram
 
 // MetricsDump renders the default registry as plain text.
 func MetricsDump() string { return Default().Dump() }
-
-// ResetMetrics zeroes the default registry (tests and repeated runs).
-func ResetMetrics() { def.Reset() }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"math"
 	"math/rand"
@@ -123,27 +122,16 @@ func TestHistogramOverflowAndEmpty(t *testing.T) {
 	}
 }
 
-func TestRegistryResetKeepsHandles(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("a")
-	g := r.Gauge("b")
-	h := r.Histogram("c", []float64{1})
-	c.Inc()
-	g.Set(2)
-	h.Observe(3)
-	r.Reset()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Fatal("Reset did not zero metrics")
-	}
-	c.Inc()
-	if r.Counter("a").Value() != 1 {
-		t.Fatal("handle detached after Reset")
+// incBy adds n to c, one Inc at a time.
+func incBy(c *Counter, n int) {
+	for i := 0; i < n; i++ {
+		c.Inc()
 	}
 }
 
 func TestDump(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("z.count").Add(3)
+	incBy(r.Counter("z.count"), 3)
 	r.Gauge("a.gauge").Set(1.5)
 	r.Histogram("m.hist", []float64{1, 10}).Observe(5)
 	d := r.Dump()
@@ -286,12 +274,14 @@ func TestServe(t *testing.T) {
 	if body := get("/debug/metrics"); !strings.Contains(body, "test.serve.hits") {
 		t.Errorf("/debug/metrics missing counter:\n%s", body)
 	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(get("/debug/vars")), &vars); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
+	// No expvar dump: /metrics and /debug/metrics render the registry.
+	resp, err := http.Get("http://" + addr.String() + "/debug/vars")
+	if err != nil {
+		t.Fatalf("GET /debug/vars: %v", err)
 	}
-	if _, ok := vars["clear"]; !ok {
-		t.Error("/debug/vars missing the clear registry snapshot")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /debug/vars: status %d, want 404", resp.StatusCode)
 	}
 	if body := get("/debug/pprof/cmdline"); body == "" {
 		t.Error("/debug/pprof/cmdline empty")

@@ -16,11 +16,11 @@ var promLineRe = regexp.MustCompile(
 
 func TestWritePrometheusSyntaxAndContent(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("serve.windows").Add(7)
+	incBy(r.Counter("serve.windows"), 7)
 	r.Gauge("serve.sessions_open").Set(3)
 	r.Histogram("serve.window_us", []float64{10, 100}).Observe(42)
 	cv := r.CounterVec("serve.http_requests", []string{"endpoint", "code"})
-	cv.With("windows", "200").Add(5)
+	incBy(cv.With("windows", "200"), 5)
 	cv.With("windows", "429").Inc()
 	r.GaugeVec("serve.breaker_state", []string{"cluster"}).With("2").Set(1)
 	hv := r.HistogramVec("serve.http_latency_us", []float64{100, 1000}, []string{"endpoint"})
@@ -80,10 +80,10 @@ func TestDumpDeterministic(t *testing.T) {
 	build := func(order []int) *Registry {
 		r := NewRegistry()
 		ops := []func(){
-			func() { r.Counter("z.count").Add(3) },
+			func() { incBy(r.Counter("z.count"), 3) },
 			func() { r.Gauge("a.gauge").Set(1.5) },
 			func() { r.Histogram("m.hist", []float64{1, 10}).Observe(5) },
-			func() { r.CounterVec("v.req", []string{"code"}).With("200").Add(2) },
+			func() { incBy(r.CounterVec("v.req", []string{"code"}).With("200"), 2) },
 			func() { r.CounterVec("v.req", []string{"code"}).With("429").Inc() },
 			func() { r.GaugeVec("b.state", []string{"cluster"}).With("0").Set(2) },
 		}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"compress/gzip"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
@@ -17,7 +16,6 @@ import (
 //
 //	/metrics        Prometheus text exposition of the default registry
 //	/debug/metrics  human-oriented plain-text dump (quantile digests)
-//	/debug/vars     expvar JSON (includes the "clear" registry snapshot)
 //	/debug/pprof    the standard Go profiler endpoints
 //	/debug/spans    the background span tree (live; open spans show elapsed)
 //
@@ -36,7 +34,6 @@ func Serve(addr string) (net.Addr, error) {
 // Handler returns the observability HTTP handler used by Serve, so
 // long-running servers can mount it on their own mux instead.
 func Handler() http.Handler {
-	publishExpvar()
 	PublishBuildInfo()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -61,7 +58,6 @@ func Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_, _ = io.WriteString(w, SpanTree()+"\n")
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -28,7 +28,7 @@ func TestMetricsContentTypeAndGzip(t *testing.T) {
 	// The registry is process-global: match the counter's running total so
 	// repeated runs (-count N) see their own value.
 	marker := GetCounter("gzip_test.marker")
-	marker.Add(7)
+	incBy(marker, 7)
 	want := fmt.Sprintf("gzip_test_marker %d", marker.Value())
 	h := Handler()
 

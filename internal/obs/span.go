@@ -25,14 +25,6 @@ type Span struct {
 	t        *Trace
 }
 
-// ID returns the span's 64-bit id (zero for a no-op span).
-func (s *Span) ID() SpanID {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // SetAttr records a key/value attribute on the span (e.g. the peer and
 // ring epoch of a cross-node hop). Attributes ride the span into
 // SpanSnap.Attrs, so a federated trace shows which replica each hop

@@ -72,9 +72,6 @@ func (k StageKind) String() string {
 	return stageNames[k]
 }
 
-// StageNames returns the label values of all stages in pipeline order.
-func StageNames() []string { return append([]string(nil), stageNames[:]...) }
-
 // StageDur is one named stage duration in a finished breakdown.
 type StageDur struct {
 	Kind StageKind

@@ -123,9 +123,13 @@ func TestStageTimerConcurrentAdd(t *testing.T) {
 }
 
 func TestStageNames(t *testing.T) {
-	names := StageNames()
-	if len(names) != int(NumStages) {
-		t.Fatalf("StageNames len %d, want %d", len(names), NumStages)
+	seen := map[string]bool{}
+	for k := StageKind(0); k < NumStages; k++ {
+		name := k.String()
+		if name == "" || name == "unknown" || seen[name] {
+			t.Fatalf("stage %d has name %q; want a distinct label", k, name)
+		}
+		seen[name] = true
 	}
 	if StageKind(99).String() != "unknown" {
 		t.Fatal("out-of-range StageKind should stringify to unknown")

@@ -23,9 +23,6 @@ type TraceStore struct {
 	lastRefill time.Time
 	byID       map[uint64]*TraceSnapshot
 	order      []uint64
-	kept       int64
-	shed       int64
-	evicted    int64
 }
 
 // NewTraceStore returns a store holding at most capacity traces and
@@ -65,7 +62,6 @@ func (st *TraceStore) Add(t *Trace) bool {
 		st.okBudget = math.Min(st.okBurst, st.okBudget+now.Sub(st.lastRefill).Seconds()*st.okPerSec)
 		st.lastRefill = now
 		if st.okBudget < 1 {
-			st.shed++
 			return false
 		}
 		st.okBudget--
@@ -76,12 +72,10 @@ func (st *TraceStore) Add(t *Trace) bool {
 		st.order = append(st.order, key)
 	}
 	st.byID[key] = &snap
-	st.kept++
 	for len(st.order) > st.capacity {
 		old := st.order[0]
 		st.order = st.order[1:]
 		delete(st.byID, old)
-		st.evicted++
 	}
 	return true
 }
@@ -124,20 +118,4 @@ func (st *TraceStore) Len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return len(st.byID)
-}
-
-// TraceStoreStats is a point-in-time view of the store's admission
-// accounting.
-type TraceStoreStats struct {
-	Held    int   `json:"held"`
-	Kept    int64 `json:"kept"`
-	Shed    int64 `json:"shed"`
-	Evicted int64 `json:"evicted"`
-}
-
-// Stats returns the store's admission accounting.
-func (st *TraceStore) Stats() TraceStoreStats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return TraceStoreStats{Held: len(st.byID), Kept: st.kept, Shed: st.shed, Evicted: st.evicted}
 }

@@ -7,12 +7,12 @@ import (
 	"sync"
 )
 
-// DefaultMaxCardinality bounds the number of distinct label-value
-// combinations a vec will materialise. Combination number maxCard+1 and
-// beyond share one overflow child whose every label value is
-// OverflowLabel, so a bug that interpolates user input into a label value
-// degrades the metric instead of exhausting memory.
-const DefaultMaxCardinality = 64
+// maxCardinality bounds the number of distinct label-value combinations
+// a vec will materialise. Combination number maxCardinality+1 and beyond
+// share one overflow child whose every label value is OverflowLabel, so
+// a bug that interpolates user input into a label value degrades the
+// metric instead of exhausting memory.
+const maxCardinality = 64
 
 // OverflowLabel is the label value assigned to the shared overflow child
 // once a vec hits its cardinality bound.
@@ -40,7 +40,7 @@ func overflowKey(labels []string) string {
 }
 
 // sortedKeys returns the map keys sorted, so every iteration over a vec's
-// children (Dump, Snapshot, Prometheus exposition) is deterministic.
+// children (Dump, Prometheus exposition) is deterministic.
 func sortedKeys[T any](m map[string]T) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -56,7 +56,6 @@ func sortedKeys[T any](m map[string]T) []string {
 type CounterVec struct {
 	name     string
 	labels   []string
-	maxCard  int
 	ovKey    string
 	mu       sync.RWMutex
 	children map[string]*Counter
@@ -66,22 +65,8 @@ func newCounterVec(name string, labels []string) *CounterVec {
 	return &CounterVec{
 		name:     name,
 		labels:   append([]string(nil), labels...),
-		maxCard:  DefaultMaxCardinality,
 		ovKey:    overflowKey(labels),
 		children: map[string]*Counter{},
-	}
-}
-
-// Labels returns the vec's label names in declaration order.
-func (v *CounterVec) Labels() []string { return append([]string(nil), v.labels...) }
-
-// SetMaxCardinality adjusts the distinct-combination bound (the overflow
-// child is exempt). Intended for setup time, before traffic.
-func (v *CounterVec) SetMaxCardinality(n int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if n >= 1 {
-		v.maxCard = n
 	}
 }
 
@@ -101,7 +86,7 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if c := v.children[k]; c != nil {
 		return c
 	}
-	if len(v.children) >= v.maxCard && k != v.ovKey {
+	if len(v.children) >= maxCardinality && k != v.ovKey {
 		k = v.ovKey
 		if c := v.children[k]; c != nil {
 			return c
@@ -126,20 +111,11 @@ func (v *CounterVec) each(f func(values []string, c *Counter)) {
 	}
 }
 
-func (v *CounterVec) reset() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, c := range v.children {
-		c.reset()
-	}
-}
-
 // GaugeVec is a family of gauges partitioned by label values, e.g.
 // serve.breaker_state{cluster}.
 type GaugeVec struct {
 	name     string
 	labels   []string
-	maxCard  int
 	ovKey    string
 	mu       sync.RWMutex
 	children map[string]*Gauge
@@ -149,21 +125,8 @@ func newGaugeVec(name string, labels []string) *GaugeVec {
 	return &GaugeVec{
 		name:     name,
 		labels:   append([]string(nil), labels...),
-		maxCard:  DefaultMaxCardinality,
 		ovKey:    overflowKey(labels),
 		children: map[string]*Gauge{},
-	}
-}
-
-// Labels returns the vec's label names in declaration order.
-func (v *GaugeVec) Labels() []string { return append([]string(nil), v.labels...) }
-
-// SetMaxCardinality adjusts the distinct-combination bound.
-func (v *GaugeVec) SetMaxCardinality(n int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if n >= 1 {
-		v.maxCard = n
 	}
 }
 
@@ -182,7 +145,7 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	if g := v.children[k]; g != nil {
 		return g
 	}
-	if len(v.children) >= v.maxCard && k != v.ovKey {
+	if len(v.children) >= maxCardinality && k != v.ovKey {
 		k = v.ovKey
 		if g := v.children[k]; g != nil {
 			return g
@@ -193,23 +156,11 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return g
 }
 
-// Each calls f for every child in sorted label order. f must not call
-// back into the vec.
-func (v *GaugeVec) Each(f func(values []string, g *Gauge)) { v.each(f) }
-
 func (v *GaugeVec) each(f func(values []string, g *Gauge)) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	for _, k := range sortedKeys(v.children) {
 		f(strings.Split(k, vecSep), v.children[k])
-	}
-}
-
-func (v *GaugeVec) reset() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, g := range v.children {
-		g.reset()
 	}
 }
 
@@ -219,7 +170,6 @@ type HistogramVec struct {
 	name     string
 	labels   []string
 	bounds   []float64
-	maxCard  int
 	ovKey    string
 	mu       sync.RWMutex
 	children map[string]*Histogram
@@ -230,21 +180,8 @@ func newHistogramVec(name string, bounds []float64, labels []string) *HistogramV
 		name:     name,
 		labels:   append([]string(nil), labels...),
 		bounds:   append([]float64(nil), bounds...),
-		maxCard:  DefaultMaxCardinality,
 		ovKey:    overflowKey(labels),
 		children: map[string]*Histogram{},
-	}
-}
-
-// Labels returns the vec's label names in declaration order.
-func (v *HistogramVec) Labels() []string { return append([]string(nil), v.labels...) }
-
-// SetMaxCardinality adjusts the distinct-combination bound.
-func (v *HistogramVec) SetMaxCardinality(n int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if n >= 1 {
-		v.maxCard = n
 	}
 }
 
@@ -264,7 +201,7 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	if h := v.children[k]; h != nil {
 		return h
 	}
-	if len(v.children) >= v.maxCard && k != v.ovKey {
+	if len(v.children) >= maxCardinality && k != v.ovKey {
 		k = v.ovKey
 		if h := v.children[k]; h != nil {
 			return h
@@ -287,16 +224,8 @@ func (v *HistogramVec) each(f func(values []string, h *Histogram)) {
 	}
 }
 
-func (v *HistogramVec) reset() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, h := range v.children {
-		h.reset()
-	}
-}
-
-// labelPairs renders `name{l1="v1",l2="v2"}`-style suffixes for Dump and
-// Snapshot keys (Prometheus exposition has its own escaping path).
+// labelPairs renders `name{l1="v1",l2="v2"}`-style suffixes for Dump
+// keys (Prometheus exposition has its own escaping path).
 func labelPairs(labels, values []string) string {
 	parts := make([]string, len(labels))
 	for i := range labels {

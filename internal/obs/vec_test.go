@@ -10,7 +10,7 @@ import (
 func TestCounterVecBasics(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("http.requests", []string{"endpoint", "code"})
-	v.With("windows", "200").Add(3)
+	incBy(v.With("windows", "200"), 3)
 	v.With("windows", "429").Inc()
 	v.With("windows", "200").Inc()
 	if got := v.With("windows", "200").Value(); got != 4 {
@@ -44,18 +44,18 @@ func TestVecWrongArityPanics(t *testing.T) {
 // `other` child instead of growing without bound.
 func TestVecCardinalityBound(t *testing.T) {
 	v := newCounterVec("cards", []string{"user"})
-	v.SetMaxCardinality(4)
-	for i := 0; i < 100; i++ {
+	const past = 36
+	for i := 0; i < maxCardinality+past; i++ {
 		v.With(fmt.Sprintf("u%03d", i)).Inc()
 	}
 	v.mu.RLock()
 	n := len(v.children)
 	v.mu.RUnlock()
-	if n != 5 { // 4 real combos + 1 overflow
-		t.Fatalf("children = %d, want 4 + overflow", n)
+	if n != maxCardinality+1 {
+		t.Fatalf("children = %d, want %d + overflow", n, maxCardinality)
 	}
-	if got := v.With(OverflowLabel).Value(); got != 96 {
-		t.Fatalf("overflow child = %d, want 96", got)
+	if got := v.With(OverflowLabel).Value(); got != past {
+		t.Fatalf("overflow child = %d, want %d", got, past)
 	}
 	// Existing combos still resolve to their own child.
 	if got := v.With("u001").Value(); got != 1 {
@@ -65,19 +65,17 @@ func TestVecCardinalityBound(t *testing.T) {
 
 func TestGaugeAndHistogramVecBound(t *testing.T) {
 	gv := newGaugeVec("g", []string{"cluster"})
-	gv.SetMaxCardinality(2)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxCardinality+8; i++ {
 		gv.With(fmt.Sprintf("c%d", i)).Set(float64(i))
 	}
 	gv.mu.RLock()
 	gn := len(gv.children)
 	gv.mu.RUnlock()
-	if gn != 3 {
-		t.Fatalf("gauge children = %d, want 2 + overflow", gn)
+	if gn != maxCardinality+1 {
+		t.Fatalf("gauge children = %d, want %d + overflow", gn, maxCardinality)
 	}
 	hv := newHistogramVec("h", []float64{1, 10, 100}, []string{"cluster"})
-	hv.SetMaxCardinality(2)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxCardinality+8; i++ {
 		hv.With(fmt.Sprintf("c%d", i)).Observe(float64(i))
 	}
 	if got := hv.With(OverflowLabel).Count(); got != 8 {
@@ -89,7 +87,6 @@ func TestGaugeAndHistogramVecBound(t *testing.T) {
 // -race in extended verify) while combos churn past the bound.
 func TestVecConcurrentLookup(t *testing.T) {
 	v := newCounterVec("conc", []string{"endpoint", "code"})
-	v.SetMaxCardinality(8)
 	hv := newHistogramVec("conc.lat", ExpBuckets(1, 2, 8), []string{"endpoint"})
 	const goroutines, perG = 8, 2000
 	var wg sync.WaitGroup
@@ -99,7 +96,7 @@ func TestVecConcurrentLookup(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				v.With(fmt.Sprintf("e%d", i%16), "200").Inc()
+				v.With(fmt.Sprintf("e%d", i%(2*maxCardinality)), "200").Inc()
 				hv.With(fmt.Sprintf("e%d", g%4)).Observe(float64(i))
 			}
 		}()
@@ -109,23 +106,5 @@ func TestVecConcurrentLookup(t *testing.T) {
 	v.each(func(_ []string, c *Counter) { total += c.Value() })
 	if total != goroutines*perG {
 		t.Fatalf("total across children = %d, want %d", total, goroutines*perG)
-	}
-}
-
-func TestRegistryResetZeroesVecs(t *testing.T) {
-	r := NewRegistry()
-	c := r.CounterVec("a", []string{"l"}).With("x")
-	g := r.GaugeVec("b", []string{"l"}).With("x")
-	h := r.HistogramVec("c", []float64{1}, []string{"l"}).With("x")
-	c.Inc()
-	g.Set(2)
-	h.Observe(3)
-	r.Reset()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Fatal("Reset did not zero vec children")
-	}
-	c.Inc()
-	if r.CounterVec("a", nil).With("x").Value() != 1 {
-		t.Fatal("vec child handle detached after Reset")
 	}
 }

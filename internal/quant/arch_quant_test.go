@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -38,7 +39,14 @@ func TestQuantErrorSmallRelativeToWeights(t *testing.T) {
 		if p.W.Size() < 8 {
 			continue
 		}
-		std := p.W.Std()
+		mean, ss := 0.0, 0.0
+		for _, v := range p.W.Data {
+			mean += v / float64(p.W.Size())
+		}
+		for _, v := range p.W.Data {
+			ss += (v - mean) * (v - mean)
+		}
+		std := math.Sqrt(ss / float64(p.W.Size()))
 		if std == 0 {
 			continue
 		}

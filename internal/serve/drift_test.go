@@ -233,8 +233,8 @@ func TestSnapshotMidReassigningRestoresSafe(t *testing.T) {
 	for j := 0; j < len(ua.Maps)/2; j++ {
 		labels[j] = int(ua.Maps[j].Label)
 	}
-	if _, err := sess.PushLabels(labels); err != nil {
-		t.Fatalf("PushLabels: %v", err)
+	if _, err := sess.PushLabelsCtx(context.Background(), labels); err != nil {
+		t.Fatalf("PushLabelsCtx: %v", err)
 	}
 	waitState(t, sess, StateMonitoring)
 

@@ -241,8 +241,8 @@ func TestFleetReportAndJournalMerge(t *testing.T) {
 			t.Fatalf("create %d: %d %s", i, resp.StatusCode, body)
 		}
 	}
-	tr.srvs[0].Journal().Record(nil, "chaos", "synthetic event on node 0")
-	tr.srvs[1].Journal().Record(nil, "chaos", "synthetic event on node 1")
+	tr.srvs[0].journal.Record(nil, "chaos", "synthetic event on node 0")
+	tr.srvs[1].journal.Record(nil, "chaos", "synthetic event on node 1")
 
 	var rep FleetReport
 	if code, _ := getJSONWith(t, tr.https[0].URL+"/v1/fleet", nil, &rep); code != http.StatusOK {

@@ -134,8 +134,8 @@ type errorResponse struct {
 }
 
 // Handler returns the server's HTTP API, with the obs observability
-// surface (/metrics, /debug/pprof, /debug/vars, /debug/spans) mounted on
-// the same mux so one port serves both traffic and introspection.
+// surface (/metrics, /debug/metrics, /debug/pprof, /debug/spans) mounted
+// on the same mux so one port serves both traffic and introspection.
 func (s *Server) Handler() http.Handler { return s.chaosGate(s.mux()) }
 
 // mux is the Server's one route table, ungated: Handler wraps it in the

@@ -206,7 +206,7 @@ func testHTTPRoundTrip(t *testing.T, h http.Handler, ringMode bool) {
 		{"GET", "/v1/events", http.StatusOK, "application/json"},
 		{"GET", "/healthz", http.StatusOK, "application/json"},
 		{"GET", "/metrics", http.StatusOK, "text/plain"},
-		{"GET", "/debug/vars", http.StatusOK, "application/json"},
+		{"GET", "/debug/vars", http.StatusNotFound, ""},
 		{"POST", "/v1/chaos", http.StatusForbidden, "application/json"},
 		{"GET", "/v1/fleet", fleetCode, ""},
 	}
@@ -325,14 +325,14 @@ func TestFlightRecorderBreakerCycle(t *testing.T) {
 	for j := 0; j < len(u.Maps)/2; j++ {
 		labels[j] = int(u.Maps[j].Label)
 	}
-	if _, err := sess.PushLabels(labels); err != nil {
-		t.Fatalf("PushLabels: %v", err)
+	if _, err := sess.PushLabelsCtx(context.Background(), labels); err != nil {
+		t.Fatalf("PushLabelsCtx: %v", err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) && !sess.Degraded() {
+	for time.Now().Before(deadline) && !sess.Status().Degraded {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if !sess.Degraded() {
+	if !sess.Status().Degraded {
 		t.Fatal("session never entered degraded mode under guaranteed build failure")
 	}
 

@@ -507,10 +507,6 @@ func (s *Server) SetClusterArchetypes(arch []int) {
 // assertions, tests).
 func (s *Server) Traces() *obs.TraceStore { return s.traces }
 
-// Journal exposes the node's cluster event journal so the router, chaos
-// admin, and embedding binaries can record operator-grade events.
-func (s *Server) Journal() *obs.Journal { return s.journal }
-
 // noteBreaker publishes cluster k's breaker state to the labeled gauge
 // and, when the state changed since the last publication, records the
 // transition in the driving session's flight recorder. sess may be nil

@@ -10,6 +10,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -127,9 +128,9 @@ func runLifecycle(t *testing.T, srv *Server, u *wemac.UserMaps) int {
 			for j := 0; j <= i; j++ {
 				labels[j] = int(u.Maps[j].Label)
 			}
-			lr, err := sess.PushLabels(labels)
+			lr, err := sess.PushLabelsCtx(context.Background(), labels)
 			if err != nil {
-				t.Fatalf("PushLabels: %v", err)
+				t.Fatalf("PushLabelsCtx: %v", err)
 			}
 			if !lr.FineTuneQueued {
 				t.Fatalf("expected a fine-tune to start, state %v", lr.State)
@@ -205,12 +206,12 @@ func TestLifecycleStateMachine(t *testing.T) {
 	for j := 0; j < total/2; j++ {
 		labels[j] = int(u.Maps[j].Label)
 	}
-	lr, err := sess.PushLabels(labels)
+	lr, err := sess.PushLabelsCtx(context.Background(), labels)
 	if err != nil {
-		t.Fatalf("PushLabels: %v", err)
+		t.Fatalf("PushLabelsCtx: %v", err)
 	}
 	if !lr.FineTuneQueued || lr.Labeled != total/2 {
-		t.Fatalf("PushLabels = %+v, want a queued fine-tune over %d labels", lr, total/2)
+		t.Fatalf("PushLabelsCtx = %+v, want a queued fine-tune over %d labels", lr, total/2)
 	}
 	waitState(t, sess, StateMonitoring)
 	res, err := sess.PushWindow(u.Maps[0].Map)
@@ -222,9 +223,9 @@ func TestLifecycleStateMachine(t *testing.T) {
 	}
 
 	// Duplicate labels don't restart a job.
-	lr, err = sess.PushLabels(labels)
+	lr, err = sess.PushLabelsCtx(context.Background(), labels)
 	if err != nil {
-		t.Fatalf("duplicate PushLabels: %v", err)
+		t.Fatalf("duplicate PushLabelsCtx: %v", err)
 	}
 	if lr.FineTuneQueued {
 		t.Fatal("unchanged label set queued a second fine-tune")
@@ -347,13 +348,13 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := a.PushWindow(nil); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("nil window: %v, want ErrBadRequest", err)
 	}
-	if _, err := a.PushLabels(map[int]int{5: 0}); !errors.Is(err, ErrBadRequest) {
+	if _, err := a.PushLabelsCtx(context.Background(), map[int]int{5: 0}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("label for unseen window: %v, want ErrBadRequest", err)
 	}
 	if _, err := a.PushWindow(users[0].Maps[0].Map); err != nil {
 		t.Fatalf("PushWindow: %v", err)
 	}
-	if _, err := a.PushLabels(map[int]int{0: 9}); !errors.Is(err, ErrBadRequest) {
+	if _, err := a.PushLabelsCtx(context.Background(), map[int]int{0: 9}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("label out of class range: %v, want ErrBadRequest", err)
 	}
 }
@@ -596,7 +597,7 @@ func TestExecutorShutdownAndShed(t *testing.T) {
 	}
 }
 
-// TestShutdownFineTuneEnqueueRace hammers PushLabels (whose fine-tune
+// TestShutdownFineTuneEnqueueRace hammers PushLabelsCtx (whose fine-tune
 // trigger sends on the server's ftq) concurrently with Shutdown (which
 // closes ftq). Run with -race: the enqueue must fail typed with
 // ErrShutdown, never panic with a send on a closed channel.
@@ -637,9 +638,9 @@ func TestShutdownFineTuneEnqueueRace(t *testing.T) {
 			<-start
 			for j := 0; j < 50; j++ {
 				idx := j % l.n
-				_, err := l.sess.PushLabels(map[int]int{idx: int(l.u.Maps[idx].Label)})
+				_, err := l.sess.PushLabelsCtx(context.Background(), map[int]int{idx: int(l.u.Maps[idx].Label)})
 				if err != nil && !errors.Is(err, ErrShutdown) && !errors.Is(err, ErrOverloaded) {
-					t.Errorf("PushLabels during shutdown: %v", err)
+					t.Errorf("PushLabelsCtx during shutdown: %v", err)
 					return
 				}
 			}
@@ -699,7 +700,7 @@ func TestExecutorForgetDefersWhileInFlight(t *testing.T) {
 	}
 }
 
-// TestLabelsDuringFineTuneFoldIntoNextJob checks the PushLabels contract
+// TestLabelsDuringFineTuneFoldIntoNextJob checks the PushLabelsCtx contract
 // that labels arriving while a job is in flight are trained by a follow-up
 // job at completion, not silently dropped.
 func TestLabelsDuringFineTuneFoldIntoNextJob(t *testing.T) {
@@ -723,13 +724,13 @@ func TestLabelsDuringFineTuneFoldIntoNextJob(t *testing.T) {
 		}
 		return m
 	}
-	lr, err := sess.PushLabels(batch(0, total/4))
+	lr, err := sess.PushLabelsCtx(context.Background(), batch(0, total/4))
 	if err != nil || !lr.FineTuneQueued {
-		t.Fatalf("first PushLabels = %+v, %v; want a queued fine-tune", lr, err)
+		t.Fatalf("first PushLabelsCtx = %+v, %v; want a queued fine-tune", lr, err)
 	}
-	lr, err = sess.PushLabels(batch(total/4, total/2))
+	lr, err = sess.PushLabelsCtx(context.Background(), batch(total/4, total/2))
 	if err != nil {
-		t.Fatalf("second PushLabels: %v", err)
+		t.Fatalf("second PushLabelsCtx: %v", err)
 	}
 	if lr.FineTuneQueued {
 		t.Skip("first fine-tune finished before the second batch; overlap not exercised")
@@ -750,9 +751,9 @@ func TestLabelsDuringFineTuneFoldIntoNextJob(t *testing.T) {
 
 	// Every label must have been seen by a job: re-sending a duplicate
 	// subset must not find unseen labels to train on.
-	lr, err = sess.PushLabels(batch(total/4, total/2))
+	lr, err = sess.PushLabelsCtx(context.Background(), batch(total/4, total/2))
 	if err != nil {
-		t.Fatalf("duplicate PushLabels: %v", err)
+		t.Fatalf("duplicate PushLabelsCtx: %v", err)
 	}
 	if lr.FineTuneQueued {
 		t.Fatal("labels pushed during the in-flight job were never folded into a follow-up job")
@@ -793,13 +794,13 @@ func TestWindowRetentionBounded(t *testing.T) {
 	if st := sess.Status(); st.Windows != 16 {
 		t.Fatalf("Status.Windows = %d, want all 16 streamed", st.Windows)
 	}
-	if _, err := sess.PushLabels(map[int]int{7: int(u.Maps[7].Label)}); err != nil {
+	if _, err := sess.PushLabelsCtx(context.Background(), map[int]int{7: int(u.Maps[7].Label)}); err != nil {
 		t.Fatalf("label in retained range: %v", err)
 	}
-	if _, err := sess.PushLabels(map[int]int{8: 0}); !errors.Is(err, ErrBadRequest) {
+	if _, err := sess.PushLabelsCtx(context.Background(), map[int]int{8: 0}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("label past retention = %v, want ErrBadRequest", err)
 	}
-	if _, err := sess.PushLabels(map[int]int{16: 0}); !errors.Is(err, ErrBadRequest) {
+	if _, err := sess.PushLabelsCtx(context.Background(), map[int]int{16: 0}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("label for unstreamed window = %v, want ErrBadRequest", err)
 	}
 }

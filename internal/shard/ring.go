@@ -152,18 +152,3 @@ func (r *Ring) Without(node string) *Ring {
 func (r *Ring) With(node string) *Ring {
 	return New(append(r.Nodes(), node), r.vnodes)
 }
-
-// OwnershipCounts buckets keys by owning node — the /v1/stats ring
-// surface showing how live sessions spread across replicas.
-func (r *Ring) OwnershipCounts(keys []string) map[string]int {
-	out := make(map[string]int, len(r.nodes))
-	for _, n := range r.nodes {
-		out[n] = 0
-	}
-	for _, k := range keys {
-		if o := r.Owner(k); o != "" {
-			out[o]++
-		}
-	}
-	return out
-}

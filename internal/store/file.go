@@ -85,9 +85,6 @@ func NewFile(dir string) (*File, error) {
 // Backend implements Store.
 func (f *File) Backend() string { return "file" }
 
-// Root returns the store's root directory.
-func (f *File) Root() string { return f.root }
-
 // Close implements Store.
 func (f *File) Close() error {
 	f.mu.Lock()

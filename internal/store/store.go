@@ -129,7 +129,7 @@ type Checkpoint struct {
 type SessionStore interface {
 	// PutSession durably stores data under id, replacing any prior record.
 	// Unfenced puts carry the zero Fence and always win — the pre-fencing
-	// behavior, kept for single-replica deployments and tooling.
+	// behavior, kept for tooling; the serving layer always fences.
 	PutSession(ctx context.Context, id string, data []byte) error
 	// PutSessionFenced conditionally stores data under id: if the stored
 	// record carries a fence strictly newer than f, the write is rejected

@@ -37,17 +37,6 @@ func (t *Tensor) MatMul(u *Tensor) *Tensor {
 	return out
 }
 
-// MatMulInto computes dst = t @ u, reusing dst's storage. dst must already
-// have shape (m, n); its previous contents are overwritten.
-func (t *Tensor) MatMulInto(dst, u *Tensor) *Tensor {
-	m, k, n := checkMatMul(t, u)
-	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto dst shape %v, want [%d %d]", dst.Shape, m, n))
-	}
-	matMulInto(dst.Data, t.Data, u.Data, m, k, n)
-	return dst
-}
-
 func checkMatMul(t, u *Tensor) (m, k, n int) {
 	if len(t.Shape) != 2 || len(u.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: MatMul needs rank-2 operands, got %v and %v", t.Shape, u.Shape))

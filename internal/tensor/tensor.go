@@ -179,15 +179,6 @@ func (t *Tensor) Add(u *Tensor) *Tensor {
 	return out
 }
 
-// AddInPlace sets t = t + u and returns t.
-func (t *Tensor) AddInPlace(u *Tensor) *Tensor {
-	t.mustMatch(u, "AddInPlace")
-	for i := range t.Data {
-		t.Data[i] += u.Data[i]
-	}
-	return t
-}
-
 // AddScaledInPlace sets t = t + alpha*u and returns t (axpy).
 func (t *Tensor) AddScaledInPlace(alpha float64, u *Tensor) *Tensor {
 	t.mustMatch(u, "AddScaledInPlace")
@@ -195,44 +186,6 @@ func (t *Tensor) AddScaledInPlace(alpha float64, u *Tensor) *Tensor {
 		t.Data[i] += alpha * u.Data[i]
 	}
 	return t
-}
-
-// Sub returns t - u element-wise.
-func (t *Tensor) Sub(u *Tensor) *Tensor {
-	t.mustMatch(u, "Sub")
-	out := New(t.Shape...)
-	for i, v := range t.Data {
-		out.Data[i] = v - u.Data[i]
-	}
-	return out
-}
-
-// Mul returns the element-wise (Hadamard) product t * u.
-func (t *Tensor) Mul(u *Tensor) *Tensor {
-	t.mustMatch(u, "Mul")
-	out := New(t.Shape...)
-	for i, v := range t.Data {
-		out.Data[i] = v * u.Data[i]
-	}
-	return out
-}
-
-// MulInPlace sets t = t * u element-wise and returns t.
-func (t *Tensor) MulInPlace(u *Tensor) *Tensor {
-	t.mustMatch(u, "MulInPlace")
-	for i := range t.Data {
-		t.Data[i] *= u.Data[i]
-	}
-	return t
-}
-
-// Scale returns alpha * t.
-func (t *Tensor) Scale(alpha float64) *Tensor {
-	out := New(t.Shape...)
-	for i, v := range t.Data {
-		out.Data[i] = alpha * v
-	}
-	return out
 }
 
 // ScaleInPlace sets t = alpha*t and returns t.
@@ -243,59 +196,10 @@ func (t *Tensor) ScaleInPlace(alpha float64) *Tensor {
 	return t
 }
 
-// Apply returns f applied to every element of t.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	out := New(t.Shape...)
-	for i, v := range t.Data {
-		out.Data[i] = f(v)
-	}
-	return out
-}
-
-// ApplyInPlace applies f to every element of t in place and returns t.
-func (t *Tensor) ApplyInPlace(f func(float64) float64) *Tensor {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
-	}
-	return t
-}
-
 func (t *Tensor) mustMatch(u *Tensor, op string) {
 	if !t.SameShape(u) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, t.Shape, u.Shape))
 	}
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements (0 for an empty tensor).
-func (t *Tensor) Mean() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.Data))
-}
-
-// Std returns the population standard deviation of all elements.
-func (t *Tensor) Std() float64 {
-	n := len(t.Data)
-	if n == 0 {
-		return 0
-	}
-	m := t.Mean()
-	ss := 0.0
-	for _, v := range t.Data {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
 }
 
 // Min returns the minimum element. Panics on an empty tensor.

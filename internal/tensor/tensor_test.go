@@ -92,14 +92,8 @@ func TestElementwiseOps(t *testing.T) {
 	if got := a.Add(b).Data; got[3] != 44 {
 		t.Errorf("Add = %v", got)
 	}
-	if got := b.Sub(a).Data; got[0] != 9 {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := a.Mul(b).Data; got[2] != 90 {
-		t.Errorf("Mul = %v", got)
-	}
-	if got := a.Scale(2).Data; got[1] != 4 {
-		t.Errorf("Scale = %v", got)
+	if got := a.Clone().ScaleInPlace(2).Data; got[1] != 4 {
+		t.Errorf("ScaleInPlace = %v", got)
 	}
 	c := a.Clone()
 	c.AddScaledInPlace(0.5, b)
@@ -113,12 +107,6 @@ func TestElementwiseOps(t *testing.T) {
 
 func TestReductions(t *testing.T) {
 	x := FromSlice([]float64{-1, 3, 2, -4}, 4)
-	if x.Sum() != 0 {
-		t.Errorf("Sum = %g", x.Sum())
-	}
-	if x.Mean() != 0 {
-		t.Errorf("Mean = %g", x.Mean())
-	}
 	if x.Min() != -4 || x.Max() != 3 {
 		t.Errorf("Min/Max = %g/%g", x.Min(), x.Max())
 	}
@@ -127,10 +115,6 @@ func TestReductions(t *testing.T) {
 	}
 	if x.ArgMax() != 1 {
 		t.Errorf("ArgMax = %d", x.ArgMax())
-	}
-	want := math.Sqrt((1 + 9 + 4 + 16) / 4.0)
-	if !almostEqual(x.Std(), want, 1e-12) {
-		t.Errorf("Std = %g, want %g", x.Std(), want)
 	}
 	if !almostEqual(x.Norm2(), math.Sqrt(30), 1e-12) {
 		t.Errorf("Norm2 = %g", x.Norm2())
@@ -294,11 +278,19 @@ func TestSerializeBadMagic(t *testing.T) {
 func TestRandnStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := Randn(rng, 2, 10000)
-	if math.Abs(x.Mean()) > 0.1 {
-		t.Errorf("Randn mean = %g, want ≈0", x.Mean())
+	mean, ss := 0.0, 0.0
+	for _, v := range x.Data {
+		mean += v / float64(x.Size())
 	}
-	if math.Abs(x.Std()-2) > 0.1 {
-		t.Errorf("Randn std = %g, want ≈2", x.Std())
+	for _, v := range x.Data {
+		ss += (v - mean) * (v - mean)
+	}
+	std := math.Sqrt(ss / float64(x.Size()))
+	if math.Abs(mean) > 0.1 {
+		t.Errorf("Randn mean = %g, want ≈0", mean)
+	}
+	if math.Abs(std-2) > 0.1 {
+		t.Errorf("Randn std = %g, want ≈2", std)
 	}
 }
 
@@ -328,8 +320,8 @@ func TestQuickAddProperties(t *testing.T) {
 		}
 		n := len(raw)
 		a := FromSlice(append([]float64(nil), raw...), n)
-		b := a.Scale(0.5)
-		c := a.Scale(-0.25)
+		b := a.Clone().ScaleInPlace(0.5)
+		c := a.Clone().ScaleInPlace(-0.25)
 		l := a.Add(b).Add(c)
 		r := a.Add(b.Add(c))
 		comm1, comm2 := a.Add(b), b.Add(a)
@@ -414,6 +406,6 @@ func BenchmarkMatMul64(b *testing.B) {
 	dst := New(64, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x.MatMulInto(dst, y)
+		matMulInto(dst.Data, x.Data, y.Data, 64, 64, 64)
 	}
 }

@@ -2,225 +2,17 @@ package wemac
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
 	"io"
-	"math"
 	"strconv"
 
 	"repro/internal/features"
 )
 
-// Dataset serialisation. Two formats:
+// Dataset exports, both CSV so external tooling can read them:
 //
-//   - a compact binary corpus (WriteTo/ReadFrom) for caching generated
-//     populations between experiment runs;
-//   - a CSV trial dump (WriteTrialCSV) matching how physiological corpora
-//     like WEMAC ship their signals, for inspection with external tooling.
-
-const corpusMagic uint32 = 0x43414D57 // "WMAC"
-
-// ErrBadCorpus is returned when a stream is not a valid corpus.
-var ErrBadCorpus = errors.New("wemac: bad corpus format")
-
-// WriteTo serialises the full dataset (config, volunteers, trials,
-// signals).
-func (d *Dataset) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	put := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	putF64s := func(x []float64) error {
-		if err := put(uint32(len(x))); err != nil {
-			return err
-		}
-		for _, v := range x {
-			if err := put(math.Float64bits(v)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := put(corpusMagic); err != nil {
-		return n, err
-	}
-	if err := put(int64(d.Config.Seed)); err != nil {
-		return n, err
-	}
-	if err := put(uint32(d.Config.TrialsPerVolunteer)); err != nil {
-		return n, err
-	}
-	if err := put(math.Float64bits(d.Config.TrialSec)); err != nil {
-		return n, err
-	}
-	if err := put(uint32(len(d.Config.ArchetypeSizes))); err != nil {
-		return n, err
-	}
-	for _, s := range d.Config.ArchetypeSizes {
-		if err := put(uint32(s)); err != nil {
-			return n, err
-		}
-	}
-	if err := put(uint32(len(d.Volunteers))); err != nil {
-		return n, err
-	}
-	for _, v := range d.Volunteers {
-		if err := put(uint32(v.ID)); err != nil {
-			return n, err
-		}
-		if err := put(uint32(v.Archetype)); err != nil {
-			return n, err
-		}
-		if err := put(uint32(len(v.Trials))); err != nil {
-			return n, err
-		}
-		for _, tr := range v.Trials {
-			if err := put(uint32(tr.Label)); err != nil {
-				return n, err
-			}
-			if err := put(math.Float64bits(tr.Efficacy)); err != nil {
-				return n, err
-			}
-			if err := putF64s(tr.Rec.BVP); err != nil {
-				return n, err
-			}
-			if err := putF64s(tr.Rec.GSR); err != nil {
-				return n, err
-			}
-			if err := putF64s(tr.Rec.SKT); err != nil {
-				return n, err
-			}
-		}
-	}
-	return n, bw.Flush()
-}
-
-// ReadDataset deserialises a corpus written by WriteTo.
-func ReadDataset(r io.Reader) (*Dataset, error) {
-	br := bufio.NewReader(r)
-	var u32 uint32
-	get := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
-	getF64 := func() (float64, error) {
-		var b uint64
-		err := get(&b)
-		return math.Float64frombits(b), err
-	}
-	getF64s := func() ([]float64, error) {
-		var l uint32
-		if err := get(&l); err != nil {
-			return nil, err
-		}
-		if l > 1<<28 {
-			return nil, fmt.Errorf("%w: implausible signal length %d", ErrBadCorpus, l)
-		}
-		out := make([]float64, l)
-		for i := range out {
-			v, err := getF64()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	if err := get(&u32); err != nil {
-		return nil, err
-	}
-	if u32 != corpusMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrBadCorpus, u32)
-	}
-	d := &Dataset{}
-	var seed int64
-	if err := get(&seed); err != nil {
-		return nil, err
-	}
-	d.Config.Seed = seed
-	if err := get(&u32); err != nil {
-		return nil, err
-	}
-	d.Config.TrialsPerVolunteer = int(u32)
-	ts, err := getF64()
-	if err != nil {
-		return nil, err
-	}
-	d.Config.TrialSec = ts
-	if err := get(&u32); err != nil {
-		return nil, err
-	}
-	if u32 > 64 {
-		return nil, fmt.Errorf("%w: implausible archetype count %d", ErrBadCorpus, u32)
-	}
-	d.Config.ArchetypeSizes = make([]int, u32)
-	for i := range d.Config.ArchetypeSizes {
-		if err := get(&u32); err != nil {
-			return nil, err
-		}
-		d.Config.ArchetypeSizes[i] = int(u32)
-	}
-	if err := get(&u32); err != nil {
-		return nil, err
-	}
-	nVol := int(u32)
-	if nVol > 1<<20 {
-		return nil, fmt.Errorf("%w: implausible volunteer count %d", ErrBadCorpus, nVol)
-	}
-	for i := 0; i < nVol; i++ {
-		v := &Volunteer{}
-		if err := get(&u32); err != nil {
-			return nil, err
-		}
-		v.ID = int(u32)
-		if err := get(&u32); err != nil {
-			return nil, err
-		}
-		v.Archetype = int(u32)
-		if err := get(&u32); err != nil {
-			return nil, err
-		}
-		nTr := int(u32)
-		if nTr > 1<<20 {
-			return nil, fmt.Errorf("%w: implausible trial count %d", ErrBadCorpus, nTr)
-		}
-		for t := 0; t < nTr; t++ {
-			var tr Trial
-			if err := get(&u32); err != nil {
-				return nil, err
-			}
-			tr.Label = Label(u32)
-			eff, err := getF64()
-			if err != nil {
-				return nil, err
-			}
-			tr.Efficacy = eff
-			bvp, err := getF64s()
-			if err != nil {
-				return nil, err
-			}
-			gsr, err := getF64s()
-			if err != nil {
-				return nil, err
-			}
-			skt, err := getF64s()
-			if err != nil {
-				return nil, err
-			}
-			tr.Rec = &features.Recording{
-				BVP: bvp, BVPFs: BVPFs,
-				GSR: gsr, GSRFs: GSRFs,
-				SKT: skt, SKTFs: SKTFs,
-			}
-			v.Trials = append(v.Trials, tr)
-		}
-		d.Volunteers = append(d.Volunteers, v)
-	}
-	return d, nil
-}
+//   - a trial dump (WriteTrialCSV) matching how physiological corpora
+//     like WEMAC ship their signals;
+//   - a feature dump (WriteFeatureCSV) of a population's feature maps.
 
 // WriteTrialCSV dumps one trial's three channels as CSV rows of
 // "time_s,channel,value" (channels are sampled at different rates, so the

@@ -8,65 +8,6 @@ import (
 	"repro/internal/features"
 )
 
-func TestCorpusRoundTrip(t *testing.T) {
-	d := Generate(smallConfig())
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDataset(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N() != d.N() {
-		t.Fatalf("N %d vs %d", got.N(), d.N())
-	}
-	if got.Config.Seed != d.Config.Seed || got.Config.TrialSec != d.Config.TrialSec {
-		t.Error("config lost in round trip")
-	}
-	for i, v := range d.Volunteers {
-		g := got.Volunteers[i]
-		if g.ID != v.ID || g.Archetype != v.Archetype {
-			t.Fatalf("volunteer %d metadata differs", i)
-		}
-		if len(g.Trials) != len(v.Trials) {
-			t.Fatalf("volunteer %d trial count differs", i)
-		}
-		for j, tr := range v.Trials {
-			gt := g.Trials[j]
-			if gt.Label != tr.Label || gt.Efficacy != tr.Efficacy {
-				t.Fatalf("trial %d/%d metadata differs", i, j)
-			}
-			for k := range tr.Rec.BVP {
-				if gt.Rec.BVP[k] != tr.Rec.BVP[k] {
-					t.Fatalf("BVP differs at %d/%d/%d", i, j, k)
-				}
-			}
-			if len(gt.Rec.GSR) != len(tr.Rec.GSR) || len(gt.Rec.SKT) != len(tr.Rec.SKT) {
-				t.Fatalf("channel lengths differ at %d/%d", i, j)
-			}
-			if gt.Rec.BVPFs != BVPFs || gt.Rec.GSRFs != GSRFs || gt.Rec.SKTFs != SKTFs {
-				t.Fatal("sample rates not restored")
-			}
-		}
-	}
-}
-
-func TestReadDatasetRejectsGarbage(t *testing.T) {
-	if _, err := ReadDataset(bytes.NewReader([]byte("not a corpus at all"))); err == nil {
-		t.Error("want error for garbage")
-	}
-	// Truncated valid stream.
-	d := Generate(smallConfig())
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadDataset(bytes.NewReader(buf.Bytes()[:buf.Len()/3])); err == nil {
-		t.Error("want error for truncated corpus")
-	}
-}
-
 func TestWriteTrialCSV(t *testing.T) {
 	d := Generate(smallConfig())
 	var buf bytes.Buffer
