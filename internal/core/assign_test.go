@@ -92,26 +92,3 @@ func TestAssignmentMargin(t *testing.T) {
 		t.Error("single-cluster margin should be 0")
 	}
 }
-
-func TestEnsembleForFollowsAssignment(t *testing.T) {
-	users := tinyUsers(t)
-	holdout := users[len(users)-1]
-	p, err := Train(users[:len(users)-1], tinyCLEARConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := p.Assign(holdout, 0.5)
-	e, err := p.EnsembleFor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(e.Models) != len(p.Models) {
-		t.Fatalf("ensemble has %d models", len(e.Models))
-	}
-	// The assigned cluster must carry the largest weight.
-	for k, w := range e.Weights {
-		if k != a.Cluster && w > e.Weights[a.Cluster] {
-			t.Errorf("cluster %d weight %g exceeds assigned %g", k, w, e.Weights[a.Cluster])
-		}
-	}
-}

@@ -169,11 +169,11 @@ func (c *Config) fillDefaults() {
 //
 // Concurrency: once built (by Train, ClusterOnly, or Load), a Pipeline is
 // read-only and safe for any number of concurrent readers. Assign,
-// AssignMaps, Apply, SamplesFor, EnsembleFor, ModelFor, and ClusterSizes
-// allocate their results and never write to shared state. The one sharp
-// edge is the *nn.Model values in Models (returned by ModelFor): layers
-// cache per-forward scratch state, so running inference or fine-tuning on
-// the same model instance from multiple goroutines requires external
+// AssignMaps, Apply, SamplesFor, ModelFor, and ClusterSizes allocate
+// their results and never write to shared state. The one sharp edge is
+// the *nn.Model values in Models (returned by ModelFor): layers cache
+// per-forward scratch state, so running inference or fine-tuning on the
+// same model instance from multiple goroutines requires external
 // serialisation — clone the model per goroutine, or route requests through
 // a serialising executor (internal/serve does the latter). FineTune itself
 // is safe to call concurrently: it clones the checkpoint before training.
@@ -443,24 +443,6 @@ func (a Assignment) RunnerUp() int {
 
 // ModelFor returns the pre-trained checkpoint of a cluster.
 func (p *Pipeline) ModelFor(k int) *nn.Model { return p.Models[k] }
-
-// EnsembleFor returns a soft-voting ensemble of the cluster checkpoints
-// weighted by inverse assignment distance — the low-confidence cold-start
-// fallback. With temperature → 0 it reduces to the single assigned model.
-func (p *Pipeline) EnsembleFor(a Assignment) (*nn.Ensemble, error) {
-	weights := make([]float64, len(p.Models))
-	best := a.Scores[a.Cluster]
-	if best <= 0 {
-		best = 1e-9
-	}
-	for k, s := range a.Scores {
-		// Inverse-distance weights, sharpened so the assigned cluster
-		// dominates unless the margin is genuinely small.
-		r := best / s
-		weights[k] = r * r * r
-	}
-	return nn.NewEnsemble(p.Models, weights)
-}
 
 // FineTune personalises the cluster-k checkpoint with the user's labelled
 // samples, returning a new model (the stored checkpoint is untouched).

@@ -52,10 +52,6 @@ func TestPipelineConcurrentReaders(t *testing.T) {
 					t.Errorf("goroutine %d: %d samples", g, len(samples))
 					return
 				}
-				if _, err := p.EnsembleFor(a); err != nil {
-					t.Errorf("goroutine %d: EnsembleFor: %v", g, err)
-					return
-				}
 				p.ClusterSizes()
 			}
 		}(g)

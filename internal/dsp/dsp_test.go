@@ -312,19 +312,6 @@ func TestResample(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	d := Diff([]float64{1, 4, 9, 16})
-	want := []float64{3, 5, 7}
-	for i, v := range want {
-		if d[i] != v {
-			t.Errorf("Diff[%d] = %g, want %g", i, d[i], v)
-		}
-	}
-	if Diff([]float64{1}) != nil {
-		t.Error("Diff of single element should be nil")
-	}
-}
-
 func TestFindPeaksSimple(t *testing.T) {
 	x := []float64{0, 1, 0, 2, 0, 3, 0}
 	peaks := FindPeaks(x, 0.5, 0.5, 1)

@@ -144,15 +144,3 @@ func Resample(x []float64, n int) []float64 {
 	}
 	return out
 }
-
-// Diff returns the first difference x[i+1]-x[i] (length len(x)-1).
-func Diff(x []float64) []float64 {
-	if len(x) < 2 {
-		return nil
-	}
-	out := make([]float64, len(x)-1)
-	for i := range out {
-		out[i] = x[i+1] - x[i]
-	}
-	return out
-}

@@ -10,54 +10,6 @@ import (
 	"repro/internal/tensor"
 )
 
-func TestEnergyBudgetBasics(t *testing.T) {
-	m := nn.NewCNNLSTM(nn.PaperModelConfig(8))
-	dc := DefaultDutyCycle()
-	in := []int{123, 8}
-
-	var reports []EnergyReport
-	for _, dev := range Devices() {
-		dep := Deploy(m, dev)
-		rep := dep.EnergyBudget(in, dc, 2.0)
-		reports = append(reports, rep)
-		if rep.EnergyJPerDay <= 0 {
-			t.Errorf("%s: non-positive daily energy", dev.Name)
-		}
-		if rep.ActiveSecPerDay+rep.IdleSecPerDay > 24*3600+1 {
-			t.Errorf("%s: day has too many seconds", dev.Name)
-		}
-		if rep.BatteryHours <= 0 {
-			t.Errorf("%s: battery hours %g", dev.Name, rep.BatteryHours)
-		}
-		if rep.String() == "" {
-			t.Error("empty String")
-		}
-	}
-	// The TPU platform idles lower than the Pi+NCS2 → longer battery life.
-	tpu, ncs := reports[1], reports[2]
-	if tpu.BatteryHours <= ncs.BatteryHours {
-		t.Errorf("TPU battery %f h should beat NCS2 %f h", tpu.BatteryHours, ncs.BatteryHours)
-	}
-	// Idle dominates at 60 inferences/hour for all edge platforms.
-	if tpu.ActiveSecPerDay > 0.2*24*3600 {
-		t.Errorf("TPU active fraction implausibly high: %f s", tpu.ActiveSecPerDay)
-	}
-}
-
-func TestEnergyBudgetScalesWithRate(t *testing.T) {
-	m := nn.NewCNNLSTM(nn.PaperModelConfig(8))
-	dep := Deploy(m, PiNCS2())
-	in := []int{123, 8}
-	low := dep.EnergyBudget(in, DutyCycle{InferencesPerHour: 6, RetrainsPerDay: 0, RetrainSamples: 1, RetrainEpochs: 1}, 2)
-	high := dep.EnergyBudget(in, DutyCycle{InferencesPerHour: 600, RetrainsPerDay: 0, RetrainSamples: 1, RetrainEpochs: 1}, 2)
-	if high.EnergyJPerDay <= low.EnergyJPerDay {
-		t.Error("more inferences must cost more energy")
-	}
-	if high.BatteryHours >= low.BatteryHours {
-		t.Error("more inferences must shorten battery life")
-	}
-}
-
 // trainedMonitorModel builds a model that fires on high-GSR windows by
 // training on synthetic maps with a planted signature.
 func monitorFixture(t *testing.T) (*Deployment, *features.Normalizer, features.ExtractorConfig) {

@@ -463,8 +463,8 @@ func TestClipGradNorm(t *testing.T) {
 	if math.Abs(norm-5) > 1e-12 {
 		t.Errorf("pre-clip norm %g", norm)
 	}
-	if math.Abs(p.Grad.Norm2()-1) > 1e-9 {
-		t.Errorf("post-clip norm %g", p.Grad.Norm2())
+	if post := math.Hypot(p.Grad.Data[0], p.Grad.Data[1]); math.Abs(post-1) > 1e-9 {
+		t.Errorf("post-clip norm %g", post)
 	}
 	// Below threshold: untouched.
 	p.Grad = tensor.FromSlice([]float64{0.1, 0}, 2)

@@ -37,14 +37,17 @@ type File struct {
 	root   string
 	mu     sync.Mutex
 	closed bool
-	// fenceMu serializes fenced session writes so the read-compare-write
-	// in PutSessionFenced is atomic within this process. Replicas on one
-	// host share the directory but open separate File handles; the
-	// cross-process fence race window (two rename-based writers passing
-	// the compare simultaneously) collapses to last-wins, which matches
-	// the pre-fencing behavior and is closed for the deployment CI
-	// exercises because only one replica owns a session per epoch.
-	fenceMu sync.Mutex
+	// fenceMu serializes fenced writes to one session id so the
+	// read-compare-write in PutSessionFenced is atomic within this
+	// process. It is striped by id hash (fenceLock): puts to different
+	// ids take different mutexes, so no persist waits on another
+	// session's fsync. Replicas on one host share the directory but open
+	// separate File handles; the cross-process fence race window (two
+	// rename-based writers passing the compare simultaneously) collapses
+	// to last-wins, which matches the pre-fencing behavior and is closed
+	// for the deployment CI exercises because only one replica owns a
+	// session per epoch.
+	fenceMu [64]sync.Mutex
 	// leaseMu serializes Lock, Refresh and Release on this handle. The
 	// filesystem arbitrates between processes; within one, the mutex makes
 	// a release happen-before the next holder's acquire, which link and
@@ -176,16 +179,18 @@ func (f *File) PutSession(ctx context.Context, id string, data []byte) (err erro
 }
 
 // PutSessionFenced implements SessionStore: read the stored record's
-// fence, reject if it is strictly newer, then write. fenceMu makes the
-// compare-and-write atomic against other fenced writers in this process.
+// fence, reject if it is strictly newer, then write. id's fenceMu stripe
+// makes the compare-and-write atomic against other fenced writers of id
+// in this process.
 func (f *File) PutSessionFenced(ctx context.Context, id string, fc Fence, data []byte) (err error) {
 	start := time.Now()
 	defer func() { instrument("file", "put_session_fenced", start, err) }()
 	if err = f.guard(ctx); err != nil {
 		return err
 	}
-	f.fenceMu.Lock()
-	defer f.fenceMu.Unlock()
+	mu := f.fenceLock(id)
+	mu.Lock()
+	defer mu.Unlock()
 	stored, err := f.readFence(id)
 	if err != nil {
 		return err
@@ -194,6 +199,15 @@ func (f *File) PutSessionFenced(ctx context.Context, id string, fc Fence, data [
 		return ErrFenced
 	}
 	return f.putSessionRecord(id, fc, data)
+}
+
+// fenceLock returns id's fenceMu stripe, picked by FNV-1a hash.
+func (f *File) fenceLock(id string) *sync.Mutex {
+	h := uint32(2166136261)
+	for i := 0; i < len(id); i++ {
+		h = (h ^ uint32(id[i])) * 16777619
+	}
+	return &f.fenceMu[h%uint32(len(f.fenceMu))]
 }
 
 // readFence returns the fence on id's stored record; a missing or

@@ -7,85 +7,6 @@ import (
 	"testing/quick"
 )
 
-// Property: MatVec agrees with MatMul against a column matrix.
-func TestQuickMatVecMatchesMatMul(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, k := 1+rng.Intn(8), 1+rng.Intn(8)
-		a := Randn(rng, 1, m, k)
-		v := Randn(rng, 1, k)
-		got := a.MatVec(v)
-		want := a.MatMul(v.Reshape(k, 1))
-		for i := 0; i < m; i++ {
-			if math.Abs(got.Data[i]-want.Data[i]) > 1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: SumRows equals ones-vector premultiplication.
-func TestQuickSumRowsMatchesOnes(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, n := 1+rng.Intn(8), 1+rng.Intn(8)
-		a := Randn(rng, 1, m, n)
-		got := a.SumRows()
-		ones := Ones(1, m)
-		want := ones.MatMul(a)
-		for j := 0; j < n; j++ {
-			if math.Abs(got.Data[j]-want.Data[j]) > 1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Dot(a, a) == Norm2(a)².
-func TestQuickDotNormConsistency(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(64)
-		a := Randn(rng, 1, n)
-		d := a.Dot(a)
-		nn := a.Norm2()
-		return math.Abs(d-nn*nn) < 1e-9*(1+d)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Outer(a,b)·shape and values match elementwise products.
-func TestQuickOuterValues(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, n := 1+rng.Intn(6), 1+rng.Intn(6)
-		a := Randn(rng, 1, m)
-		b := Randn(rng, 1, n)
-		o := Outer(a, b)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				if o.At(i, j) != a.Data[i]*b.Data[j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: ScaleInPlace then ScaleInPlace(1/alpha) restores within
 // floating tolerance.
 func TestQuickScaleRoundTrip(t *testing.T) {

@@ -60,15 +60,6 @@ func Randn(rng *rand.Rand, stddev float64, shape ...int) *Tensor {
 	return t
 }
 
-// RandUniform returns a tensor with elements drawn uniformly from [lo, hi).
-func RandUniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.Data {
-		t.Data[i] = lo + rng.Float64()*(hi-lo)
-	}
-	return t
-}
-
 func sizeOf(shape []int) int {
 	n := 1
 	for _, d := range shape {
@@ -169,16 +160,6 @@ func (t *Tensor) Fill(v float64) {
 // Zero sets every element of t to 0.
 func (t *Tensor) Zero() { t.Fill(0) }
 
-// Add returns t + u element-wise.
-func (t *Tensor) Add(u *Tensor) *Tensor {
-	t.mustMatch(u, "Add")
-	out := New(t.Shape...)
-	for i, v := range t.Data {
-		out.Data[i] = v + u.Data[i]
-	}
-	return out
-}
-
 // AddScaledInPlace sets t = t + alpha*u and returns t (axpy).
 func (t *Tensor) AddScaledInPlace(alpha float64, u *Tensor) *Tensor {
 	t.mustMatch(u, "AddScaledInPlace")
@@ -200,34 +181,6 @@ func (t *Tensor) mustMatch(u *Tensor, op string) {
 	if !t.SameShape(u) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, t.Shape, u.Shape))
 	}
-}
-
-// Min returns the minimum element. Panics on an empty tensor.
-func (t *Tensor) Min() float64 {
-	if len(t.Data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the maximum element. Panics on an empty tensor.
-func (t *Tensor) Max() float64 {
-	if len(t.Data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // AbsMax returns max(|t|) over all elements, or 0 for an empty tensor.
@@ -253,27 +206,6 @@ func (t *Tensor) ArgMax() int {
 		}
 	}
 	return bi
-}
-
-// Norm2 returns the Euclidean (Frobenius) norm of t.
-func (t *Tensor) Norm2() float64 {
-	ss := 0.0
-	for _, v := range t.Data {
-		ss += v * v
-	}
-	return math.Sqrt(ss)
-}
-
-// Dot returns the inner product of t and u viewed as flat vectors.
-func (t *Tensor) Dot(u *Tensor) float64 {
-	if len(t.Data) != len(u.Data) {
-		panic(fmt.Sprintf("tensor: Dot size mismatch %d vs %d", len(t.Data), len(u.Data)))
-	}
-	s := 0.0
-	for i, v := range t.Data {
-		s += v * u.Data[i]
-	}
-	return s
 }
 
 // String renders a short human-readable description of t.

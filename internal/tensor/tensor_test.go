@@ -89,9 +89,6 @@ func TestReshapeBadSizePanics(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float64{10, 20, 30, 40}, 2, 2)
-	if got := a.Add(b).Data; got[3] != 44 {
-		t.Errorf("Add = %v", got)
-	}
 	if got := a.Clone().ScaleInPlace(2).Data; got[1] != 4 {
 		t.Errorf("ScaleInPlace = %v", got)
 	}
@@ -107,17 +104,11 @@ func TestElementwiseOps(t *testing.T) {
 
 func TestReductions(t *testing.T) {
 	x := FromSlice([]float64{-1, 3, 2, -4}, 4)
-	if x.Min() != -4 || x.Max() != 3 {
-		t.Errorf("Min/Max = %g/%g", x.Min(), x.Max())
-	}
 	if x.AbsMax() != 4 {
 		t.Errorf("AbsMax = %g", x.AbsMax())
 	}
 	if x.ArgMax() != 1 {
 		t.Errorf("ArgMax = %d", x.ArgMax())
-	}
-	if !almostEqual(x.Norm2(), math.Sqrt(30), 1e-12) {
-		t.Errorf("Norm2 = %g", x.Norm2())
 	}
 }
 
@@ -175,76 +166,6 @@ func TestMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMatMulAccInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := Randn(rng, 1, 3, 4)
-	b := Randn(rng, 1, 4, 5)
-	dst := Randn(rng, 1, 3, 5)
-	want := dst.Add(a.MatMul(b))
-	a.MatMulAccInto(dst, b)
-	for i := range want.Data {
-		if !almostEqual(dst.Data[i], want.Data[i], 1e-12) {
-			t.Fatalf("MatMulAccInto[%d] = %g, want %g", i, dst.Data[i], want.Data[i])
-		}
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := a.T2()
-	if b.Dim(0) != 3 || b.Dim(1) != 2 {
-		t.Fatalf("T2 shape = %v", b.Shape)
-	}
-	if b.At(2, 0) != 3 || b.At(0, 1) != 4 {
-		t.Errorf("T2 values wrong: %v", b.Data)
-	}
-}
-
-func TestMatVecAndRow(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	v := FromSlice([]float64{1, 0, -1}, 3)
-	got := a.MatVec(v)
-	if got.Data[0] != -2 || got.Data[1] != -2 {
-		t.Errorf("MatVec = %v", got.Data)
-	}
-	r := a.Row(1)
-	if r.Data[0] != 4 || r.Size() != 3 {
-		t.Errorf("Row = %v", r.Data)
-	}
-	r.Data[0] = 99
-	if a.At(1, 0) != 99 {
-		t.Error("Row must share storage")
-	}
-}
-
-func TestAddRowVectorAndSumRows(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	bias := FromSlice([]float64{10, 20, 30}, 3)
-	a.AddRowVectorInPlace(bias)
-	if a.At(0, 0) != 11 || a.At(1, 2) != 36 {
-		t.Errorf("AddRowVectorInPlace = %v", a.Data)
-	}
-	s := a.SumRows()
-	if s.Data[0] != 11+14 || s.Data[2] != 33+36 {
-		t.Errorf("SumRows = %v", s.Data)
-	}
-}
-
-func TestOuter(t *testing.T) {
-	a := FromSlice([]float64{1, 2}, 2)
-	b := FromSlice([]float64{3, 4, 5}, 3)
-	o := Outer(a, b)
-	if o.At(1, 2) != 10 || o.At(0, 0) != 3 {
-		t.Errorf("Outer = %v", o.Data)
-	}
-	dst := New(2, 3)
-	OuterAccInto(dst, a, b)
-	OuterAccInto(dst, a, b)
-	if dst.At(1, 1) != 16 {
-		t.Errorf("OuterAccInto = %v", dst.Data)
-	}
-}
-
 func TestSerializeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, shape := range [][]int{{}, {1}, {5}, {2, 3}, {3, 4, 5}} {
@@ -294,52 +215,6 @@ func TestRandnStats(t *testing.T) {
 	}
 }
 
-func TestRandUniformRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	x := RandUniform(rng, -1, 3, 1000)
-	if x.Min() < -1 || x.Max() >= 3 {
-		t.Errorf("RandUniform out of range: [%g, %g]", x.Min(), x.Max())
-	}
-}
-
-// Property: (A+B)+C == A+(B+C) within floating tolerance, and A+B == B+A.
-func TestQuickAddProperties(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		if len(raw) > 64 {
-			raw = raw[:64]
-		}
-		for i, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				raw[i] = 1
-			}
-			// Keep magnitudes sane so associativity holds to tolerance.
-			raw[i] = math.Mod(raw[i], 1e6)
-		}
-		n := len(raw)
-		a := FromSlice(append([]float64(nil), raw...), n)
-		b := a.Clone().ScaleInPlace(0.5)
-		c := a.Clone().ScaleInPlace(-0.25)
-		l := a.Add(b).Add(c)
-		r := a.Add(b.Add(c))
-		comm1, comm2 := a.Add(b), b.Add(a)
-		for i := 0; i < n; i++ {
-			if !almostEqual(l.Data[i], r.Data[i], 1e-6*(1+math.Abs(l.Data[i]))) {
-				return false
-			}
-			if comm1.Data[i] != comm2.Data[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: MatMul distributes over addition: A@(B+C) == A@B + A@C.
 func TestQuickMatMulDistributive(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
@@ -349,8 +224,9 @@ func TestQuickMatMulDistributive(t *testing.T) {
 		a := Randn(local, 1, m, k)
 		b := Randn(local, 1, k, n)
 		c := Randn(local, 1, k, n)
-		l := a.MatMul(b.Add(c))
-		r := a.MatMul(b).Add(a.MatMul(c))
+		bc := b.Clone().AddScaledInPlace(1, c)
+		l := a.MatMul(bc)
+		r := a.MatMul(b).AddScaledInPlace(1, a.MatMul(c))
 		for i := range l.Data {
 			if !almostEqual(l.Data[i], r.Data[i], 1e-9) {
 				return false
@@ -360,33 +236,6 @@ func TestQuickMatMulDistributive(t *testing.T) {
 	}
 	cfg := &quick.Config{MaxCount: 100, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: transpose is an involution and (AB)^T == B^T A^T.
-func TestQuickTransposeProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		local := rand.New(rand.NewSource(seed))
-		m, k, n := 1+local.Intn(6), 1+local.Intn(6), 1+local.Intn(6)
-		a := Randn(local, 1, m, k)
-		b := Randn(local, 1, k, n)
-		aa := a.T2().T2()
-		for i := range a.Data {
-			if a.Data[i] != aa.Data[i] {
-				return false
-			}
-		}
-		l := a.MatMul(b).T2()
-		r := b.T2().MatMul(a.T2())
-		for i := range l.Data {
-			if !almostEqual(l.Data[i], r.Data[i], 1e-9) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
