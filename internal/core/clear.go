@@ -177,6 +177,8 @@ func (c *Config) fillDefaults() {
 // serialisation — clone the model per goroutine, or route requests through
 // a serialising executor (internal/serve does the latter). FineTune itself
 // is safe to call concurrently: it clones the checkpoint before training.
+// Tune is not a reader: it trains the model it is given in place, so that
+// model must be the caller's own copy.
 type Pipeline struct {
 	Cfg Config
 	// Norm z-scores feature maps with statistics from the training users.
@@ -192,7 +194,7 @@ type Pipeline struct {
 	// TrainUserIDs records the volunteer IDs used for training, in order.
 	TrainUserIDs []int
 	// Fault, when non-nil, arms deterministic fault injection on the
-	// pipeline's failure points (currently fault.ModelBuild in FineTune).
+	// pipeline's failure points (currently fault.ModelBuild in Tune).
 	// Not serialised; set it after Load when chaos-testing.
 	Fault *fault.Injector
 }
@@ -228,30 +230,22 @@ func build(users []*wemac.UserMaps, cfg Config, trainModels bool) (*Pipeline, er
 	std := cluster.FitStandardizer(summaries)
 	zs := std.ApplyAll(summaries)
 
-	copts := cfg.Cluster
-	copts.Seed = cfg.Seed*31 + 7
-	top, err := cluster.KMeans(zs, cfg.K, copts)
+	top, err := Cluster(zs, cfg)
 	if err != nil {
 		csp.End()
 		return nil, fmt.Errorf("core: global clustering: %w", err)
 	}
-	top = cluster.Refine(zs, top, cfg.RefineRounds, cfg.RefineSampleFrac, cfg.Seed*31+11)
+	copts := cfg.Cluster
+	copts.Seed = cfg.Seed*31 + 7
 	hier, err := cluster.BuildHierarchy(zs, top, cfg.SubK, copts)
 	csp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: hierarchy: %w", err)
 	}
 
-	// Normalisation statistics come from training users only, computed on
-	// the same representation the classifier consumes.
+	// Normalisation statistics come from training users only.
 	nsp := obs.StartSpan("core.normalize")
-	var allMaps []*tensorT
-	for _, u := range users {
-		for _, m := range u.AllMaps() {
-			allMaps = append(allMaps, correctMap(m, cfg))
-		}
-	}
-	norm := features.FitNormalizer(allMaps)
+	norm := fitNorm(users, cfg)
 	nsp.End()
 
 	p := &Pipeline{
@@ -277,27 +271,75 @@ func build(users []*wemac.UserMaps, cfg Config, trainModels bool) (*Pipeline, er
 			data = append(data, p.SamplesFor(u)...)
 		}
 		tsp := obs.StartSpan("core.train_cluster")
-		m, err := p.trainClusterModel(k, data)
+		m, err := p.trainModel(data, cfg.Seed*1009+int64(k), cfg.Seed*2003+int64(k))
 		tsp.End()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: training cluster %d: %w", k, err)
 		}
 		p.Models[k] = m
 	}
 	return p, nil
 }
 
-func (p *Pipeline) trainClusterModel(k int, data []nn.Sample) (*nn.Model, error) {
+// Cluster partitions standardised per-user summaries into cfg.K groups:
+// k-means++ with cfg.Cluster at seed Seed·31+7, then the [19]-style
+// iterative refinement at seed Seed·31+11. It is the global clustering
+// step of Train and ClusterOnly.
+func Cluster(zs [][]float64, cfg Config) (*cluster.Result, error) {
+	copts := cfg.Cluster
+	copts.Seed = cfg.Seed*31 + 7
+	top, err := cluster.KMeans(zs, cfg.K, copts)
+	if err != nil {
+		return nil, err
+	}
+	return cluster.Refine(zs, top, cfg.RefineRounds, cfg.RefineSampleFrac, cfg.Seed*31+11), nil
+}
+
+// TrainPooled trains one classifier from scratch on the pooled samples of
+// users, with the input normaliser fitted on those users alone (LOSO
+// hygiene): the general model and every CL-validation fold. The model
+// and the data are seeded with seed. The result has no clustering stage
+// (Std, Hier and UserCluster are nil): Models[0] is the classifier, and
+// SamplesFor gives its input for any user.
+func TrainPooled(users []*wemac.UserMaps, cfg Config, seed int64) (*Pipeline, error) {
+	cfg.fillDefaults()
+	p := &Pipeline{Cfg: cfg, Norm: fitNorm(users, cfg)}
+	var data []nn.Sample
+	for _, u := range users {
+		data = append(data, p.SamplesFor(u)...)
+	}
+	m, err := p.trainModel(data, seed, seed)
+	if err != nil {
+		return nil, err
+	}
+	p.Models = []*nn.Model{m}
+	return p, nil
+}
+
+// fitNorm fits the classifier-input normaliser on users' maps only, in
+// the representation the classifier consumes.
+func fitNorm(users []*wemac.UserMaps, cfg Config) *features.Normalizer {
+	var allMaps []*tensorT
+	for _, u := range users {
+		for _, m := range u.AllMaps() {
+			allMaps = append(allMaps, correctMap(m, cfg))
+		}
+	}
+	return features.FitNormalizer(allMaps)
+}
+
+// trainModel trains a fresh Cfg.Model classifier on data with Cfg.Train.
+func (p *Pipeline) trainModel(data []nn.Sample, modelSeed, trainSeed int64) (*nn.Model, error) {
 	if len(data) == 0 {
-		return nil, fmt.Errorf("core: cluster %d has no training data", k)
+		return nil, fmt.Errorf("core: no training data")
 	}
 	mcfg := p.Cfg.Model
-	mcfg.Seed = p.Cfg.Seed*1009 + int64(k)
+	mcfg.Seed = modelSeed
 	m := nn.NewModel(mcfg)
 	tcfg := p.Cfg.Train
-	tcfg.Seed = p.Cfg.Seed*2003 + int64(k)
+	tcfg.Seed = trainSeed
 	if _, err := nn.Train(m, data, tcfg); err != nil {
-		return nil, fmt.Errorf("core: training cluster %d: %w", k, err)
+		return nil, err
 	}
 	return m, nil
 }
@@ -397,8 +439,9 @@ func (p *Pipeline) assignSummaryCtx(ctx context.Context, summary []float64, frac
 
 // Margin returns the relative score gap between the selected cluster and
 // the runner-up: (second − best) / best. Small margins mean the user sits
-// between clusters and an ensemble of the two checkpoints may serve them
-// better than committing to one.
+// between clusters. The serving layer records it in the assignment log and
+// the session stats, and its drift detector measures the re-assignment gap
+// in the same units, (assigned − best) / best, against DriftThreshold.
 func (a Assignment) Margin() float64 {
 	if len(a.Scores) < 2 {
 		return 0
@@ -446,8 +489,6 @@ func (p *Pipeline) ModelFor(k int) *nn.Model { return p.Models[k] }
 
 // FineTune personalises the cluster-k checkpoint with the user's labelled
 // samples, returning a new model (the stored checkpoint is untouched).
-// When configured, each sample is expanded with noise-jittered copies so
-// the optimizer sees enough variation to generalise from a handful of maps.
 func (p *Pipeline) FineTune(k int, data []nn.Sample) (*nn.Model, error) {
 	return p.FineTuneCtx(backgroundCtx, k, data)
 }
@@ -455,8 +496,27 @@ func (p *Pipeline) FineTune(k int, data []nn.Sample) (*nn.Model, error) {
 // FineTuneCtx is FineTune with request-scoped tracing: the core.finetune
 // span attaches to the trace carried by ctx, and to nothing otherwise.
 func (p *Pipeline) FineTuneCtx(ctx context.Context, k int, data []nn.Sample) (*nn.Model, error) {
+	m := p.Models[k].Clone()
+	if err := p.Tune(ctx, m, k, data, nil); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Tune is the one fine-tuning recipe. It trains m, a caller-owned copy of
+// the cluster-k checkpoint at any precision, in place: the labelled
+// samples are expanded with FTAugment noise-jittered copies each (so the
+// optimizer sees enough variation to generalise from a handful of maps),
+// trained on with Cfg.FineTune at seed Seed·3001+k, and the result is
+// blended back toward m's starting weights by FTBlend. keep, when
+// non-nil, runs after every epoch and once more after the blend; a
+// device passes its weight re-quantisation, since an accelerator stores
+// only device-precision weights. m is never cloned: nn.Model.Clone
+// rebuilds from the Config and would drop a deployment's activation
+// quantisers.
+func (p *Pipeline) Tune(ctx context.Context, m *nn.Model, k int, data []nn.Sample, keep func(*nn.Model)) error {
 	if len(data) == 0 {
-		return nil, fmt.Errorf("core: no fine-tuning data")
+		return fmt.Errorf("core: no fine-tuning data")
 	}
 	sp := obs.StartSpanCtx(ctx, "core.finetune")
 	defer sp.End()
@@ -464,34 +524,33 @@ func (p *Pipeline) FineTuneCtx(ctx context.Context, k int, data []nn.Sample) (*n
 	if p.Fault.Fire(fault.ModelBuild) {
 		err := fmt.Errorf("core: fine-tuning cluster %d: %w", k, fault.ErrInjected)
 		sp.Fail(err)
-		return nil, err
+		return err
 	}
-	m := p.Models[k].Clone()
+	var orig []*tensorT
+	if p.Cfg.FTBlend > 0 {
+		orig = m.Snapshot()
+	}
 	ft := p.Cfg.FineTune
 	ft.Seed = p.Cfg.Seed*3001 + int64(k)
-	train := p.augmentFT(data, ft.Seed)
-	if _, err := nn.Train(m, train, ft); err != nil {
+	if keep != nil {
+		ft.EpochEnd = func(_ int, m *nn.Model) { keep(m) }
+	}
+	if _, err := nn.Train(m, p.augmentFT(data, ft.Seed), ft); err != nil {
 		err = fmt.Errorf("core: fine-tuning cluster %d: %w", k, err)
 		sp.Fail(err)
-		return nil, err
+		return err
 	}
 	if b := p.Cfg.FTBlend; b > 0 {
-		orig := p.Models[k].Params()
-		tuned := m.Params()
-		for i := range tuned {
-			for j := range tuned[i].W.Data {
-				tuned[i].W.Data[j] = b*orig[i].W.Data[j] + (1-b)*tuned[i].W.Data[j]
+		for i, param := range m.Params() {
+			for j, w := range param.W.Data {
+				param.W.Data[j] = b*orig[i].Data[j] + (1-b)*w
 			}
 		}
 	}
-	return m, nil
-}
-
-// AugmentFT exposes the fine-tuning augmentation for callers that run
-// their own training loop (e.g. the on-device fine-tuning of Table II),
-// so every fine-tuning path sees the same expanded sample set.
-func (p *Pipeline) AugmentFT(data []nn.Sample) []nn.Sample {
-	return p.augmentFT(data, p.Cfg.Seed*3001)
+	if keep != nil {
+		keep(m)
+	}
+	return nil
 }
 
 // augmentFT expands the labelled samples with FTAugment jittered copies

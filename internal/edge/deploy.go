@@ -1,8 +1,6 @@
 package edge
 
 import (
-	"fmt"
-
 	"repro/internal/nn"
 	"repro/internal/quant"
 	"repro/internal/tensor"
@@ -33,31 +31,6 @@ func DeployCalibrated(m *nn.Model, d Device, calib []*tensor.Tensor) *Deployment
 		quant.Calibrate(dep.Model, calib)
 	}
 	return dep
-}
-
-// FineTune re-trains the deployed model on-device with the user's labelled
-// samples. Weights are re-quantised to device precision after every epoch
-// (the accelerator can only store device-precision weights), which is what
-// degrades fine-tuning quality on the int8 TPU relative to the GPU, as in
-// Table II.
-func (dep *Deployment) FineTune(data []nn.Sample, cfg nn.TrainConfig) (*nn.TrainResult, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("edge: no fine-tuning data")
-	}
-	p := dep.Device.Precision
-	prev := cfg.EpochEnd
-	cfg.EpochEnd = func(epoch int, m *nn.Model) {
-		quant.RequantizeWeights(m, p)
-		if prev != nil {
-			prev(epoch, m)
-		}
-	}
-	res, err := nn.Train(dep.Model, data, cfg)
-	if err != nil {
-		return nil, err
-	}
-	quant.RequantizeWeights(dep.Model, p)
-	return res, nil
 }
 
 // Cost reports the simulated Table II time/power block for this deployment

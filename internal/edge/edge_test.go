@@ -143,58 +143,6 @@ func TestDeployPrecisionAccuracyOrdering(t *testing.T) {
 	}
 }
 
-func TestDeployDoesNotMutateSource(t *testing.T) {
-	m := tinyModel(2)
-	rng := rand.New(rand.NewSource(14))
-	x := tensor.Randn(rng, 1, 24, 5)
-	before := m.Forward(x, false).Clone()
-	dep := Deploy(m, CoralTPU())
-	var data []nn.Sample
-	for i := 0; i < 8; i++ {
-		data = append(data, nn.Sample{X: tensor.Randn(rng, 1, 24, 5), Y: i % 2})
-	}
-	if _, err := dep.FineTune(data, nn.TrainConfig{Epochs: 2, BatchSize: 4, LR: 1e-2, Seed: 14}); err != nil {
-		t.Fatal(err)
-	}
-	after := m.Forward(x, false)
-	for i := range before.Data {
-		if before.Data[i] != after.Data[i] {
-			t.Fatal("on-device fine-tuning leaked into the source checkpoint")
-		}
-	}
-}
-
-func TestFineTuneKeepsWeightsQuantised(t *testing.T) {
-	m := tinyModel(3)
-	dep := Deploy(m, CoralTPU())
-	rng := rand.New(rand.NewSource(15))
-	var data []nn.Sample
-	for i := 0; i < 8; i++ {
-		data = append(data, nn.Sample{X: tensor.Randn(rng, 1, 24, 5), Y: i % 2})
-	}
-	if _, err := dep.FineTune(data, nn.TrainConfig{Epochs: 2, BatchSize: 4, LR: 1e-2, Seed: 15}); err != nil {
-		t.Fatal(err)
-	}
-	// Every weight tensor must be exactly representable in int8 grid:
-	// requantising must be a no-op.
-	for _, p := range dep.Model.Params() {
-		before := p.W.Clone()
-		quant.FakeQuant(p.W, quant.INT8)
-		for i := range before.Data {
-			if before.Data[i] != p.W.Data[i] {
-				t.Fatalf("weight %s not on the int8 grid after fine-tune", p.Name)
-			}
-		}
-	}
-}
-
-func TestFineTuneErrors(t *testing.T) {
-	dep := Deploy(tinyModel(4), CoralTPU())
-	if _, err := dep.FineTune(nil, nn.TrainConfig{}); err == nil {
-		t.Error("want error for empty data")
-	}
-}
-
 func TestDeploymentCostDelegates(t *testing.T) {
 	dep := Deploy(tinyModel(5), PiNCS2())
 	c := dep.Cost([]int{24, 5}, 10, 5)

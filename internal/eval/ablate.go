@@ -76,11 +76,13 @@ func ClusteringAlgorithms(cfg core.Config) map[string]ClusterAssigner {
 	}
 	return map[string]ClusterAssigner{
 		"kmeans+refine": func(pts [][]float64, k int, seed int64) ([]int, error) {
-			res, err := cluster.KMeans(pts, k, cluster.Options{Seed: seed*31 + 7})
+			c := cfg
+			c.K, c.Seed = k, seed
+			res, err := core.Cluster(pts, c)
 			if err != nil {
 				return nil, err
 			}
-			return cluster.Refine(pts, res, cfg.RefineRounds, cfg.RefineSampleFrac, seed*31+11).Assign, nil
+			return res.Assign, nil
 		},
 		"ward":     agglo(cluster.WardLinkage),
 		"average":  agglo(cluster.AverageLinkage),
@@ -120,68 +122,19 @@ func RunClusteringAblation(users []*wemac.UserMaps, cfg core.Config, algos map[s
 		if err != nil {
 			return nil, err
 		}
-		cl, rt, err := intraClusterLOSO(users, assign, cfg)
+		res, err := intraClusterLOSO(users, assign, cfg, cfg.Seed*509, 43)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, ClusteringResult{
 			Name:   name,
-			CL:     cl,
-			RT:     rt,
+			CL:     res.CL,
+			RT:     res.RT,
 			Purity: partitionPurity(users, assign, cfg.K),
-			Sizes:  partitionSizes(assign, cfg.K),
+			Sizes:  res.Sizes,
 		})
 	}
 	return out, nil
-}
-
-// intraClusterLOSO runs the CL-validation protocol on a fixed partition.
-func intraClusterLOSO(users []*wemac.UserMaps, assign []int, cfg core.Config) (cl, rt Agg, err error) {
-	var clFolds, rtFolds []Metrics
-	k := cfg.K
-	for c := 0; c < k; c++ {
-		var members []int
-		for i, a := range assign {
-			if a == c {
-				members = append(members, i)
-			}
-		}
-		if len(members) < 2 {
-			continue
-		}
-		for fi, testIdx := range members {
-			var train []*wemac.UserMaps
-			for _, mi := range members {
-				if mi != testIdx {
-					train = append(train, users[mi])
-				}
-			}
-			m, norm, err := trainOne(train, cfg, cfg.Seed*509+int64(c)*43+int64(fi))
-			if err != nil {
-				return Agg{}, Agg{}, err
-			}
-			met, err := EvaluateModel(m, norm.samples(users[testIdx]))
-			if err != nil {
-				return Agg{}, Agg{}, err
-			}
-			clFolds = append(clFolds, met)
-
-			var outData []nn.Sample
-			for i, a := range assign {
-				if a != c {
-					outData = append(outData, norm.samples(users[i])...)
-				}
-			}
-			if len(outData) > 0 {
-				rmet, err := EvaluateModel(m, outData)
-				if err != nil {
-					return Agg{}, Agg{}, err
-				}
-				rtFolds = append(rtFolds, rmet)
-			}
-		}
-	}
-	return Aggregate(clFolds), Aggregate(rtFolds), nil
 }
 
 func partitionPurity(users []*wemac.UserMaps, assign []int, k int) float64 {

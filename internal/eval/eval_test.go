@@ -244,6 +244,13 @@ func TestRunLOSOAndCLEAR(t *testing.T) {
 	if math.Abs(gpu.NoFT.MeanAcc-res.WithoutFT.MeanAcc) > 1e-9 {
 		t.Errorf("GPU NoFT %.2f != CLEAR w/o FT %.2f", gpu.NoFT.MeanAcc, res.WithoutFT.MeanAcc)
 	}
+	// GPU FT is Table I's CLEAR w FT: one recipe at the same seeds on the
+	// same fp64 weights.
+	if gpu.FT != res.WithFT {
+		t.Errorf("GPU FT acc %.2f±%.2f f1 %.2f±%.2f (%d folds) != CLEAR w FT acc %.2f±%.2f f1 %.2f±%.2f (%d folds)",
+			gpu.FT.MeanAcc, gpu.FT.StdAcc, gpu.FT.MeanF1, gpu.FT.StdF1, gpu.FT.Folds,
+			res.WithFT.MeanAcc, res.WithFT.StdAcc, res.WithFT.MeanF1, res.WithFT.StdF1, res.WithFT.Folds)
+	}
 	// int8 should hurt at least as much as fp16 (soft: allow 5-point slack
 	// on this small population).
 	if tpu.NoFT.MeanAcc > ncs.NoFT.MeanAcc+5 {

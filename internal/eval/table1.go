@@ -4,35 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/features"
 	"repro/internal/nn"
-	"repro/internal/tensor"
 	"repro/internal/wemac"
 )
-
-// trainOne fits a fresh classifier on the pooled samples of the given
-// users, normalising with their statistics only (LOSO hygiene).
-func trainOne(users []*wemac.UserMaps, cfg core.Config, seed int64) (*nn.Model, *pipelineNorm, error) {
-	norm := fitNorm(users, cfg)
-	var data []nn.Sample
-	for _, u := range users {
-		data = append(data, norm.samples(u)...)
-	}
-	if len(data) == 0 {
-		return nil, nil, fmt.Errorf("eval: no training data")
-	}
-	mcfg := cfg.Model
-	mcfg.Seed = seed
-	m := nn.NewModel(mcfg)
-	tcfg := cfg.Train
-	tcfg.Seed = seed
-	if _, err := nn.Train(m, data, tcfg); err != nil {
-		return nil, nil, err
-	}
-	return m, norm, nil
-}
 
 // RunGeneralModel reproduces the paper's "General Model" row: groupSize
 // users are drawn at random (11 in the paper, matching the mean cluster
@@ -51,12 +26,11 @@ func RunGeneralModel(users []*wemac.UserMaps, cfg core.Config, groupSize int, se
 	}
 	var folds []Metrics
 	for i := range group {
-		train := withoutIndex(group, i)
-		m, norm, err := trainOne(train, cfg, seed*101+int64(i))
+		p, err := core.TrainPooled(withoutIndex(group, i), cfg, seed*101+int64(i))
 		if err != nil {
 			return Agg{}, err
 		}
-		met, err := EvaluateModel(m, norm.samples(group[i]))
+		met, err := EvaluateModel(p.ModelFor(0), p.SamplesFor(group[i]))
 		if err != nil {
 			return Agg{}, err
 		}
@@ -79,19 +53,24 @@ type CLResult struct {
 	PerCluster []Agg
 }
 
-// RunCL reproduces the "Clustering and Learning validation" block: global
-// clustering over the whole population, intra-cluster LOSO for each
-// cluster, and the RT cross-cluster evaluation.
+// RunCL reproduces the "Clustering and Learning validation" block: the
+// pipeline's global clustering over the whole population, intra-cluster
+// LOSO for each cluster, and the RT cross-cluster evaluation.
 func RunCL(users []*wemac.UserMaps, cfg core.Config) (CLResult, error) {
 	cfg = cfg.WithDefaults()
-	assign, _, err := clusterUsers(users, cfg)
+	p, err := core.ClusterOnly(users, cfg)
 	if err != nil {
 		return CLResult{}, err
 	}
-	sizes := make([]int, cfg.K)
-	for _, c := range assign {
-		sizes[c]++
-	}
+	return intraClusterLOSO(users, p.UserCluster, cfg, cfg.Seed*307, 41)
+}
+
+// intraClusterLOSO runs the CL-validation protocol on a fixed partition:
+// for every cluster with at least two members, each member is held out in
+// turn, a model is trained on the others (fold fi of cluster k at seed
+// seed0 + k·stride + fi), and it is evaluated on the held-out member (CL)
+// and on every user outside the cluster (RT).
+func intraClusterLOSO(users []*wemac.UserMaps, assign []int, cfg core.Config, seed0, stride int64) (CLResult, error) {
 	var clFolds, rtFolds []Metrics
 	perCluster := make([]Agg, cfg.K)
 	for k := 0; k < cfg.K; k++ {
@@ -112,11 +91,12 @@ func RunCL(users []*wemac.UserMaps, cfg core.Config) (CLResult, error) {
 					train = append(train, users[mi])
 				}
 			}
-			m, norm, err := trainOne(train, cfg, cfg.Seed*307+int64(k)*41+int64(fi))
+			p, err := core.TrainPooled(train, cfg, seed0+int64(k)*stride+int64(fi))
 			if err != nil {
 				return CLResult{}, err
 			}
-			met, err := EvaluateModel(m, norm.samples(users[testIdx]))
+			m := p.ModelFor(0)
+			met, err := EvaluateModel(m, p.SamplesFor(users[testIdx]))
 			if err != nil {
 				return CLResult{}, err
 			}
@@ -127,7 +107,7 @@ func RunCL(users []*wemac.UserMaps, cfg core.Config) (CLResult, error) {
 			var outData []nn.Sample
 			for i, c := range assign {
 				if c != k {
-					outData = append(outData, norm.samples(users[i])...)
+					outData = append(outData, p.SamplesFor(users[i])...)
 				}
 			}
 			if len(outData) > 0 {
@@ -140,67 +120,16 @@ func RunCL(users []*wemac.UserMaps, cfg core.Config) (CLResult, error) {
 		}
 		perCluster[k] = Aggregate(kFolds)
 	}
-	return CLResult{CL: Aggregate(clFolds), RT: Aggregate(rtFolds), Sizes: sizes, PerCluster: perCluster}, nil
-}
-
-// clusterUsers runs the pipeline's global clustering step alone (summaries
-// → standardise → k-means++ → refine) and returns assignments and the
-// standardizer.
-func clusterUsers(users []*wemac.UserMaps, cfg core.Config) ([]int, *cluster.Standardizer, error) {
-	summaries := make([][]float64, len(users))
-	for i, u := range users {
-		summaries[i] = u.Summary(1.0)
-	}
-	std := cluster.FitStandardizer(summaries)
-	zs := std.ApplyAll(summaries)
-	copts := cfg.Cluster
-	copts.Seed = cfg.Seed*31 + 7
-	top, err := cluster.KMeans(zs, cfg.K, copts)
-	if err != nil {
-		return nil, nil, err
-	}
-	top = cluster.Refine(zs, top, cfg.RefineRounds, cfg.RefineSampleFrac, cfg.Seed*31+11)
-	return top.Assign, std, nil
+	return CLResult{
+		CL:         Aggregate(clFolds),
+		RT:         Aggregate(rtFolds),
+		Sizes:      partitionSizes(assign, cfg.K),
+		PerCluster: perCluster,
+	}, nil
 }
 
 func withoutIndex(users []*wemac.UserMaps, i int) []*wemac.UserMaps {
 	out := make([]*wemac.UserMaps, 0, len(users)-1)
 	out = append(out, users[:i]...)
 	return append(out, users[i+1:]...)
-}
-
-// pipelineNorm is a feature transform bound to a training population:
-// optional stimulus-locked baseline correction followed by z-scoring with
-// the training users' statistics.
-type pipelineNorm struct {
-	n       *features.Normalizer
-	correct bool
-}
-
-// fitNorm fits feature normalisation on the given users' maps only, in the
-// representation the classifier will consume.
-func fitNorm(users []*wemac.UserMaps, cfg core.Config) *pipelineNorm {
-	correct := !cfg.DisableBaselineCorrect
-	var maps []*tensor.Tensor
-	for _, u := range users {
-		for _, m := range u.AllMaps() {
-			if correct {
-				m = features.BaselineCorrect(m)
-			}
-			maps = append(maps, m)
-		}
-	}
-	return &pipelineNorm{n: features.FitNormalizer(maps), correct: correct}
-}
-
-func (p *pipelineNorm) samples(u *wemac.UserMaps) []nn.Sample {
-	out := make([]nn.Sample, len(u.Maps))
-	for i, lm := range u.Maps {
-		m := lm.Map
-		if p.correct {
-			m = features.BaselineCorrect(m)
-		}
-		out[i] = nn.Sample{X: p.n.Apply(m), Y: int(lm.Label)}
-	}
-	return out
 }

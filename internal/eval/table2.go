@@ -1,8 +1,11 @@
 package eval
 
 import (
+	"context"
+
 	"repro/internal/edge"
 	"repro/internal/nn"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -51,12 +54,15 @@ type Table2 struct {
 // RunTable2 deploys every LOSO fold's assigned checkpoint to each device,
 // evaluates without fine-tuning, fine-tunes on-device with ftFrac of the
 // volunteer's labelled data, re-evaluates, and reports the analytic
-// time/power model. The GPU entry is the in-precision baseline.
+// time/power model. The GPU entry is the in-precision baseline: its FT
+// column is Table I's CLEAR w FT, since both run Pipeline.Tune at the same
+// seeds on the same weights.
 func RunTable2(run *LOSORun, devices []edge.Device, ftFrac float64) (*Table2, error) {
 	out := &Table2{}
 	for _, dev := range devices {
 		var noFT, rt, ft []Metrics
-		var ftSamples, ftEpochs int
+		var ftSamples int
+		requant := func(m *nn.Model) { quant.RequantizeWeights(m, dev.Precision) }
 		for _, fold := range run.Folds {
 			u := run.Users[fold.UserIdx]
 			p := fold.Pipeline
@@ -87,15 +93,13 @@ func RunTable2(run *LOSORun, devices []edge.Device, ftFrac float64) (*Table2, er
 				rt = append(rt, meanMetrics(rts))
 			}
 
-			// On-device fine-tuning.
+			// On-device fine-tuning: the pipeline's one recipe, run on the
+			// deployed copy with its weights kept at device precision.
 			ftTrain, ftTest := SplitForFineTune(data, ftFrac)
 			if len(ftTrain) == 0 || len(ftTest) == 0 {
 				continue
 			}
-			ftCfg := run.Cfg.FineTune
-			ftCfg.Seed = run.Cfg.Seed*4007 + int64(fold.UserIdx)
-			res, err := dep.FineTune(p.AugmentFT(ftTrain), ftCfg)
-			if err != nil {
+			if err := p.Tune(context.TODO(), dep.Model, fold.Assignment.Cluster, ftTrain, requant); err != nil {
 				return nil, err
 			}
 			fmet, err := EvaluateModel(dep.Model, ftTest)
@@ -104,7 +108,6 @@ func RunTable2(run *LOSORun, devices []edge.Device, ftFrac float64) (*Table2, er
 			}
 			ft = append(ft, fmet)
 			ftSamples = len(ftTrain)
-			ftEpochs = res.Epochs
 		}
 		inShape := []int{run.Cfg.Model.InH, run.Cfg.Model.InW}
 		var costModel *nn.Model
@@ -118,10 +121,7 @@ func RunTable2(run *LOSORun, devices []edge.Device, ftFrac float64) (*Table2, er
 			FT:     Aggregate(ft),
 		}
 		if costModel != nil {
-			if ftEpochs == 0 {
-				ftEpochs = run.Cfg.FineTune.Epochs
-			}
-			dr.Cost = dev.Cost(costModel, inShape, ftSamples, ftEpochs)
+			dr.Cost = dev.Cost(costModel, inShape, ftSamples, run.Cfg.FineTune.Epochs)
 		}
 		out.Results = append(out.Results, dr)
 	}
