@@ -78,7 +78,8 @@ func (b *Breaker) stateLocked() BreakerState {
 
 // Allow asks to run one build. Closed: always granted. Open: refused.
 // Half-open: granted once (the probe); concurrent asks are refused until
-// the probe reports via Done. Every granted Allow must be paired with Done.
+// the probe reports via Done. Every granted Allow must be paired with Done
+// or Release.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -120,5 +121,15 @@ func (b *Breaker) Done(err error) {
 	if b.state == BreakerClosed && b.fails >= b.threshold {
 		b.state = BreakerOpen
 		b.openedAt = b.now()
+	}
+}
+
+// Release returns a granted Allow without an outcome: a half-open probe
+// slot frees for the next build, and the failure count is unchanged.
+func (b *Breaker) Release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == BreakerHalfOpen {
+		b.probing = false
 	}
 }

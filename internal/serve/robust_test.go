@@ -21,11 +21,13 @@ import (
 	"repro/internal/fault"
 	"repro/internal/shard"
 	"repro/internal/store"
+	"repro/internal/wemac"
 )
 
 // TestBreakerStateMachine walks the breaker through its full cycle on a
 // fake clock: consecutive failures open it, the cooldown admits a single
 // half-open probe, a failed probe re-opens, a successful probe closes.
+// Release gives a grant back with no outcome, in either state.
 func TestBreakerStateMachine(t *testing.T) {
 	now := time.Unix(0, 0)
 	b := NewBreaker(3, 10*time.Second)
@@ -42,6 +44,8 @@ func TestBreakerStateMachine(t *testing.T) {
 		b.Allow()
 		b.Done(fail)
 	}
+	b.Allow()
+	b.Release() // neither a failure nor a success: the count stays at 2
 	if b.State() != BreakerClosed {
 		t.Fatalf("2 consecutive failures after reset opened a threshold-3 breaker (state %v)", b.State())
 	}
@@ -71,6 +75,13 @@ func TestBreakerStateMachine(t *testing.T) {
 	now = now.Add(11 * time.Second)
 	if !b.Allow() {
 		t.Fatal("second half-open probe refused")
+	}
+	b.Release() // the probe ended with no outcome: its slot frees
+	if b.State() != BreakerHalfOpen {
+		t.Fatalf("state after a released probe = %v, want half-open", b.State())
+	}
+	if !b.Allow() {
+		t.Fatal("half-open breaker refused a probe after Release")
 	}
 	b.Done(nil)
 	if b.State() != BreakerClosed {
@@ -197,6 +208,103 @@ func TestFineTuneRetryBreakerAndRecovery(t *testing.T) {
 	}
 	if !res.Personalized || res.Degraded {
 		t.Fatalf("post-recovery window: Personalized=%v Degraded=%v", res.Personalized, res.Degraded)
+	}
+}
+
+// TestClosedSessionFineTuneLeavesBreakerClosed queues a fine-tune for a
+// session and closes the session before the one worker reaches the job.
+// The job has nothing left to train on; it must end without counting
+// against the cluster's breaker, so the cluster's other sessions keep
+// personalising.
+func TestClosedSessionFineTuneLeavesBreakerClosed(t *testing.T) {
+	srv := newTestServer(t, Config{FineTuneWorkers: 1, FineTuneBackoff: time.Millisecond})
+	_, users := fixture(t)
+	u := users[0]
+	n := wemac.BudgetWindows(len(u.Maps), 0.1)
+	labels := map[int]int{}
+	for j := 0; j < n; j++ {
+		labels[j] = int(u.Maps[j].Label)
+	}
+	// assigned streams u's unlabeled budget into a new session. Every
+	// session of one user lands on the same cluster.
+	assigned := func() (*Session, int) {
+		t.Helper()
+		sess, err := srv.CreateSession(u.ID, len(u.Maps), 0.1)
+		if err != nil {
+			t.Fatalf("CreateSession: %v", err)
+		}
+		k := -1
+		for i := 0; i < n; i++ {
+			res, err := sess.PushWindow(u.Maps[i].Map)
+			if err != nil {
+				t.Fatalf("PushWindow %d: %v", i, err)
+			}
+			if res.Assignment != nil {
+				k = res.Assignment.Cluster
+			}
+		}
+		if k < 0 {
+			t.Fatalf("session %s not assigned after %d windows", sess.ID(), n)
+		}
+		return sess, k
+	}
+	busy, k := assigned()
+	closing, _ := assigned()
+	after, _ := assigned()
+	ctx := context.Background()
+
+	// busy's job goes first, and the worker blocks on busy's lock (held
+	// here) until the other two jobs are queued and closing is closed.
+	busy.mu.Lock()
+	for idx, y := range labels {
+		busy.labels[idx] = y
+	}
+	queued, err := busy.tryFineTuneLocked(ctx)
+	if !queued || err != nil {
+		busy.mu.Unlock()
+		t.Fatalf("busy session's fine-tune: queued=%v err=%v", queued, err)
+	}
+	for _, sess := range []*Session{closing, after} {
+		lr, err := sess.PushLabelsCtx(ctx, labels)
+		if err != nil || !lr.FineTuneQueued {
+			busy.mu.Unlock()
+			t.Fatalf("session %s fine-tune: queued=%v err=%v", sess.ID(), lr.FineTuneQueued, err)
+		}
+		if sess == closing {
+			if err := srv.CloseSession(closing.ID()); err != nil {
+				busy.mu.Unlock()
+				t.Fatalf("CloseSession: %v", err)
+			}
+		}
+	}
+	busy.mu.Unlock()
+
+	// The worker runs the jobs in order, so once after's job is done the
+	// closed session's job has run too.
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		after.mu.Lock()
+		inFlight := after.ftInFlight
+		after.mu.Unlock()
+		if !inFlight {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("fine-tune queue never drained")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := srv.BreakerFor(k).State(); st != BreakerClosed {
+		t.Fatalf("cluster %d breaker = %v after a closed session's job, want closed", k, st)
+	}
+	if st := after.Status(); !st.Personalized || st.Degraded {
+		t.Errorf("session queued behind the closed one: personalized=%v degraded=%v, want true/false",
+			st.Personalized, st.Degraded)
+	}
+	fresh, _ := assigned()
+	lr, err := fresh.PushLabelsCtx(ctx, labels)
+	if err != nil || !lr.FineTuneQueued {
+		t.Fatalf("new session on cluster %d: FineTuneQueued=%v err=%v, want true", k, lr.FineTuneQueued, err)
 	}
 }
 

@@ -579,7 +579,9 @@ func (s *Server) buildLeased(ctx context.Context, job ftJob) (*nn.Model, error) 
 // with capped exponential backoff + jitter, each attempt gated by the
 // cluster's breaker (which also absorbs the outcome — in half-open the
 // attempt is the probe). A breaker refusal or a shutdown mid-backoff ends
-// the job early.
+// the job early, and so does a session closed under the job: that says
+// nothing about the cluster's builds, so the breaker gets its slot back
+// with no outcome recorded.
 func (s *Server) buildWithRetry(ctx context.Context, job ftJob) (*nn.Model, error) {
 	br := s.breakers[job.k]
 	var lastErr error
@@ -603,6 +605,10 @@ func (s *Server) buildWithRetry(ctx context.Context, job ftJob) (*nn.Model, erro
 		}
 		job.s.record(ctx, evFTAttempt, "cluster=%d attempt=%d breaker=%s", job.k, attempt, before)
 		m, err := job.s.runFineTune(ctx)
+		if errors.Is(err, ErrSessionClosed) {
+			br.Release()
+			return nil, err
+		}
 		br.Done(err)
 		s.noteBreaker(ctx, job.s, job.k, br.State())
 		if err == nil {

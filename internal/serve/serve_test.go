@@ -518,10 +518,14 @@ func TestHTTPOverloadMapsTo429(t *testing.T) {
 	}
 }
 
+// TestExecutorBatchingCorrectness fills one round: with maxDelay far
+// beyond the test, a round closes only when maxBatch requests are in it.
+// The coalesced pass must give bitwise the sequential answers.
 func TestExecutorBatchingCorrectness(t *testing.T) {
 	pipe, users := fixture(t)
 	model := pipe.ModelFor(0)
-	exec := NewExecutor(8, 2*time.Millisecond, 128, 4)
+	const batch = 8
+	exec := NewExecutor(batch, time.Minute, 128, 4)
 	defer exec.Close()
 
 	// Inputs and their sequential ground truth.
@@ -531,50 +535,75 @@ func TestExecutorBatchingCorrectness(t *testing.T) {
 			xs = append(xs, pipe.Apply(lm.Map))
 		}
 	}
+	xs = xs[:batch]
 	want := make([][]float64, len(xs))
 	for i, x := range xs {
 		want[i] = model.Probabilities(x)
 	}
 
-	// Concurrent submissions must come back bitwise identical: batching
-	// and per-model locking may not change the math. Retry the round a few
-	// times to observe coalescing (timing-dependent under CI load).
-	sawBatch := 1
-	for round := 0; round < 5 && sawBatch < 2; round++ {
-		results := make([]InferResult, len(xs))
-		var wg sync.WaitGroup
-		for i, x := range xs {
-			wg.Add(1)
-			go func(i int, x *tensorT) {
-				defer wg.Done()
-				res, err := exec.Submit(nil, model, x)
-				if err != nil {
-					t.Errorf("Submit: %v", err)
-					return
-				}
-				results[i] = res
-			}(i, x)
-		}
-		wg.Wait()
-		if t.Failed() {
-			return
-		}
-		for i, res := range results {
-			if len(res.Probs) != len(want[i]) {
-				t.Fatalf("result %d: %d probs, want %d", i, len(res.Probs), len(want[i]))
+	// Batching and per-model locking may not change the math.
+	results := make([]InferResult, len(xs))
+	var wg sync.WaitGroup
+	for i, x := range xs {
+		wg.Add(1)
+		go func(i int, x *tensorT) {
+			defer wg.Done()
+			res, err := exec.Submit(nil, model, x)
+			if err != nil {
+				t.Errorf("Submit %d: %v", i, err)
+				return
 			}
-			for j := range want[i] {
-				if res.Probs[j] != want[i][j] {
-					t.Fatalf("result %d class %d: batched %v ≠ sequential %v", i, j, res.Probs[j], want[i][j])
-				}
-			}
-			if res.Batch > sawBatch {
-				sawBatch = res.Batch
+			results[i] = res
+		}(i, x)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, res := range results {
+		if res.Batch != batch {
+			t.Errorf("request %d rode a round of %d, want %d", i, res.Batch, batch)
+		}
+		if len(res.Probs) != len(want[i]) {
+			t.Fatalf("result %d: %d probs, want %d", i, len(res.Probs), len(want[i]))
+		}
+		for j := range want[i] {
+			if res.Probs[j] != want[i][j] {
+				t.Fatalf("result %d class %d: batched %v ≠ sequential %v", i, j, res.Probs[j], want[i][j])
 			}
 		}
 	}
-	if sawBatch < 2 {
-		t.Errorf("no request ever coalesced into a batch > 1 (got max %d)", sawBatch)
+}
+
+// TestClassifiedWindowAllocs bounds the heap allocations of one classified
+// window, end to end through PushWindowCtx (sanitise, normalise, the
+// executor round, the monitor and the drift detector). While tensor.At
+// and Set leaked their index slice, the per-cell feature paths made about
+// 3 200 allocations a window on this fixture.
+func TestClassifiedWindowAllocs(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	_, users := fixture(t)
+	u := users[0]
+	sess, err := srv.CreateSession(u.ID, srv.cfg.MaxWindows, 0.01)
+	if err != nil {
+		t.Fatalf("CreateSession: %v", err)
+	}
+	ctx := context.Background()
+	for i := 0; sess.State() == StateEnrolling; i++ {
+		if _, err := sess.PushWindowCtx(ctx, u.Maps[i%len(u.Maps)].Map); err != nil {
+			t.Fatalf("PushWindowCtx %d: %v", i, err)
+		}
+	}
+	m := u.Maps[0].Map
+	const budget = 300
+	n := testing.AllocsPerRun(50, func() {
+		if _, err := sess.PushWindowCtx(ctx, m); err != nil {
+			t.Fatalf("PushWindowCtx: %v", err)
+		}
+	})
+	t.Logf("%.0f allocations per classified window", n)
+	if n > budget {
+		t.Errorf("one classified window allocates %.0f times, want ≤ %d", n, budget)
 	}
 }
 

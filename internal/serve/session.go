@@ -496,9 +496,15 @@ func (s *Session) tryFineTuneLocked(ctx context.Context) (bool, error) {
 
 // runFineTune executes one personalisation job on a pool worker: snapshot
 // the labelled windows, fine-tune the assigned cluster's checkpoint, and
-// deploy it at the session's device precision.
+// deploy it at the session's device precision. A job that reaches a
+// closed session (queued before the close dropped its windows) ends with
+// ErrSessionClosed: there is nothing left to train on or to serve.
 func (s *Session) runFineTune(ctx context.Context) (*nn.Model, error) {
 	s.mu.Lock()
+	if s.state == StateClosed {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("%w: %q", ErrSessionClosed, s.id)
+	}
 	k := s.asg.Cluster
 	idxs := make([]int, 0, len(s.labels))
 	for idx := range s.labels {

@@ -93,15 +93,17 @@ func (t *Tensor) SameShape(u *Tensor) bool {
 	return true
 }
 
-// offset computes the flat index for idx, checking bounds.
+// offset computes the flat index for idx, checking bounds. The panic
+// messages format a copy of idx, so idx itself never escapes and the
+// variadic At/Set calls keep their index slice on the caller's stack.
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: index %v has wrong rank for shape %v", idx, t.Shape))
+		panic(fmt.Sprintf("tensor: index %v has wrong rank for shape %v", append([]int(nil), idx...), t.Shape))
 	}
 	off := 0
 	for i, ix := range idx {
 		if ix < 0 || ix >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.Shape))
+			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", append([]int(nil), idx...), t.Shape))
 		}
 		off = off*t.Shape[i] + ix
 	}

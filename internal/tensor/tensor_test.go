@@ -39,6 +39,19 @@ func TestFromSliceAndAt(t *testing.T) {
 	}
 }
 
+// TestAtSetDoNotAllocate pins the index slice of the variadic accessors
+// to the caller's stack: the hot feature paths call them per cell.
+func TestAtSetDoNotAllocate(t *testing.T) {
+	x := New(3, 4, 5)
+	i, j, k := 2, 3, 4
+	if n := testing.AllocsPerRun(100, func() { _ = x.At(i, j, k) }); n != 0 {
+		t.Errorf("At allocates %.0f times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { x.Set(1, i, j, k) }); n != 0 {
+		t.Errorf("Set allocates %.0f times per call, want 0", n)
+	}
+}
+
 func TestFromSliceSizeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
