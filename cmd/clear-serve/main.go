@@ -39,9 +39,8 @@
 // deterministic fault injector (chaos testing, seed 1); all default to 0
 // (off).
 // With any fault armed (or -chaos-admin set) the durable store is wrapped
-// in the fault injector plus a transient-retry decorator, and persist
-// failures that survive the retries flow into the serving layer's
-// write-behind replay queue instead of being dropped. -chaos-admin
+// in the fault injector, and failed persists flow into the serving
+// layer's write-behind replay queue instead of being dropped. -chaos-admin
 // additionally enables POST /v1/chaos (403 without it), which arms
 // time-bounded store outages and inbound partitions on the live process —
 // the hook cmd/clear-loadgen's -chaos mode drives.
@@ -194,10 +193,9 @@ func main() {
 			*faultBuild, *faultStall, *faultCorrupt)
 	}
 	if inj != nil && st != nil {
-		// Faults inject below the retry decorator, so transient bursts are
-		// absorbed the same way a real flaky disk's would be; what leaks
-		// through lands in the serving layer's write-behind queue.
-		st = store.WithRetry(store.WithFault(st, inj), store.RetryConfig{})
+		// A failed store write lands in the serving layer's write-behind
+		// queue, the one retry path, exactly as a real outage's would.
+		st = store.WithFault(st, inj)
 	}
 
 	scfg := serve.Config{

@@ -42,22 +42,12 @@ const (
 	// StorePutFail fails a store write (session record, blob, manifest),
 	// simulating a durable-store outage on the persist path.
 	StorePutFail Point = "store_put_fail"
-	// StoreGetStall delays a store read, simulating a slow or saturated
-	// backend on the hydrate path.
-	StoreGetStall Point = "store_get_stall"
-	// StoreLeaseLost invalidates a held fine-tune lease so Refresh/Release
-	// return ErrLeaseLost, simulating lease expiry under a wedged holder.
-	StoreLeaseLost Point = "store_lease_lost"
-	// StoreCorruptRead flips a byte in a record read back from the store,
-	// exercising the caller's framing/digest integrity checks.
-	StoreCorruptRead Point = "store_corrupt_read"
 )
 
 // Points lists every defined injection point.
 func Points() []Point {
 	return []Point{
-		ModelBuild, InferStall, ChannelDropout, CorruptWindow,
-		StorePutFail, StoreGetStall, StoreLeaseLost, StoreCorruptRead,
+		ModelBuild, InferStall, ChannelDropout, CorruptWindow, StorePutFail,
 	}
 }
 
@@ -75,14 +65,11 @@ type Injector struct {
 // Fired-fault telemetry, one counter per point on the default registry.
 var (
 	mInjected = map[Point]*obs.Counter{
-		ModelBuild:       obs.GetCounter("fault.injected.model_build"),
-		InferStall:       obs.GetCounter("fault.injected.infer_stall"),
-		ChannelDropout:   obs.GetCounter("fault.injected.channel_dropout"),
-		CorruptWindow:    obs.GetCounter("fault.injected.corrupt_window"),
-		StorePutFail:     obs.GetCounter("fault.injected.store_put_fail"),
-		StoreGetStall:    obs.GetCounter("fault.injected.store_get_stall"),
-		StoreLeaseLost:   obs.GetCounter("fault.injected.store_lease_lost"),
-		StoreCorruptRead: obs.GetCounter("fault.injected.store_corrupt_read"),
+		ModelBuild:     obs.GetCounter("fault.injected.model_build"),
+		InferStall:     obs.GetCounter("fault.injected.infer_stall"),
+		ChannelDropout: obs.GetCounter("fault.injected.channel_dropout"),
+		CorruptWindow:  obs.GetCounter("fault.injected.corrupt_window"),
+		StorePutFail:   obs.GetCounter("fault.injected.store_put_fail"),
 	}
 )
 

@@ -68,7 +68,7 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.StoreOutageMS > 0 {
 		if s.cfg.Fault == nil {
-			writeError(w, r, fmt.Errorf("%w: store outage needs a fault injector (-fault-seed)", ErrBadRequest))
+			writeError(w, r, fmt.Errorf("%w: store outage needs a fault injector (clear-serve -chaos-admin)", ErrBadRequest))
 			return
 		}
 		s.armStoreOutage(time.Duration(req.StoreOutageMS) * time.Millisecond)

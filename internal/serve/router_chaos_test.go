@@ -36,9 +36,7 @@ func newChaosTrio(t *testing.T) *chaosTrio {
 	inj := fault.New(99)
 	// One injector wraps the one shared store: arming StorePutFail models
 	// the shared durable backend failing for every replica at once.
-	st := store.WithRetry(store.WithFault(inner, inj), store.RetryConfig{
-		Attempts: 2, Base: time.Millisecond, Cap: 2 * time.Millisecond,
-	})
+	st := store.WithFault(inner, inj)
 	tr := &chaosTrio{store: st, inj: inj}
 	var swaps [3]*swapHandler
 	nodes := make([]string, 3)

@@ -45,9 +45,7 @@ func newTopoTrio(t *testing.T, initialMembers int, healthInterval, drainTimeout 
 		t.Fatalf("NewFile: %v", err)
 	}
 	inj := fault.New(99)
-	st := store.WithRetry(store.WithFault(inner, inj), store.RetryConfig{
-		Attempts: 2, Base: time.Millisecond, Cap: 2 * time.Millisecond,
-	})
+	st := store.WithFault(inner, inj)
 	tr := &topoTrio{store: st, inj: inj}
 	var swaps [3]*swapHandler
 	for i := range swaps {

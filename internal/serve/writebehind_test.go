@@ -159,7 +159,9 @@ func TestWriteBehindSaturationShedsCreates(t *testing.T) {
 }
 
 // TestChaosAdminDisabled checks /v1/chaos refuses with 403 unless the
-// server opted in via Config.ChaosAdmin.
+// server opted in via Config.ChaosAdmin, and that a store outage on a
+// server with no fault injector is refused with 400 naming the flag that
+// creates one.
 func TestChaosAdminDisabled(t *testing.T) {
 	inj := fault.New(43)
 	srv, _ := newWBServer(t, inj, 8, false)
@@ -168,6 +170,53 @@ func TestChaosAdminDisabled(t *testing.T) {
 		strings.NewReader(`{"store_outage_ms":50}`)))
 	if w.Code != 403 {
 		t.Fatalf("chaos admin disabled: got %d, want 403", w.Code)
+	}
+
+	srv, _ = newWBServer(t, nil, 8, true)
+	w = httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/chaos",
+		strings.NewReader(`{"store_outage_ms":50}`)))
+	if w.Code != 400 || !strings.Contains(w.Body.String(), "-chaos-admin") {
+		t.Fatalf("store outage without an injector: got %d %s, want 400 naming -chaos-admin",
+			w.Code, w.Body.String())
+	}
+}
+
+// TestChaosOverlappingStoreOutage checks that an earlier store-outage
+// window's timer does not disarm a later window that overlaps it: the
+// store stays down until the later window ends, then recovers.
+func TestChaosOverlappingStoreOutage(t *testing.T) {
+	inj := fault.New(45)
+	srv, _ := newWBServer(t, inj, 8, true)
+	ctx := context.Background()
+	h := srv.Handler()
+	sess, err := srv.CreateSession(1, 8, 0.5)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	arm := func(body string) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/chaos", strings.NewReader(body)))
+		if w.Code != 200 {
+			t.Fatalf("arm %s: %d %s", body, w.Code, w.Body.String())
+		}
+	}
+
+	start := time.Now()
+	arm(`{"store_outage_ms":150}`)
+	time.Sleep(50 * time.Millisecond)
+	arm(`{"store_outage_ms":1000}`)
+	// The first window's timer has fired by now; the second still holds.
+	time.Sleep(400*time.Millisecond - time.Since(start))
+	if err := srv.persistSession(ctx, sess); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("persist inside the later window: err = %v, want an injected failure", err)
+	}
+	waitFor(t, 3*time.Second, "store to recover after the later window", func() bool {
+		return srv.persistSession(ctx, sess) == nil
+	})
+	if d := time.Since(start); d < time.Second {
+		t.Fatalf("store recovered after %v, before the later window ended", d)
 	}
 }
 

@@ -3,7 +3,6 @@ package store
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/fault"
@@ -15,65 +14,27 @@ import (
 // storetest conformance suite untouched — so chaos runs can leave it
 // installed permanently and arm points at runtime.
 //
-// Injection sites:
-//
-//   - StorePutFail fails every write (PutSession, PutBlob, PutCheckpoint,
-//     DeleteSession, DeleteCheckpoint, Lock) with an ErrInjected-wrapped
-//     error, simulating a store outage.
-//   - StoreGetStall sleeps the injector's stall duration before a read
-//     (GetSession, GetBlob, GetCheckpoint, ListSessions, HasBlob),
-//     simulating a slow or saturated backend.
-//   - StoreCorruptRead flips one byte of a GetSession/GetBlob payload on
-//     the way out, exercising the caller's framing/digest checks.
-//   - StoreLeaseLost wraps granted leases so Refresh/Release report
-//     ErrLeaseLost, simulating expiry-takeover under a wedged holder.
+// One injection site: StorePutFail fails every write (PutSession,
+// PutSessionFenced, PutBlob, PutCheckpoint, DeleteSession,
+// DeleteCheckpoint, Lock) with an ErrInjected-wrapped error, simulating a
+// store outage. Reads, Backend, Stats and Close reach the embedded store
+// untouched, like a disk gone read-only. The serving layer's write-behind
+// (replay queue, store breaker, periodic FlushAll) absorbs the failures;
+// nothing in this package retries.
 type Fault struct {
-	inner Store
-	inj   *fault.Injector
+	Store
+	inj *fault.Injector
 }
 
 // WithFault wraps inner with injection from inj. A nil inj is legal and
 // makes the wrapper a pure pass-through.
 func WithFault(inner Store, inj *fault.Injector) *Fault {
-	return &Fault{inner: inner, inj: inj}
+	return &Fault{Store: inner, inj: inj}
 }
-
-// Backend reports the inner backend's name: the wrapper is transparent to
-// metrics and stats labels.
-func (f *Fault) Backend() string { return f.inner.Backend() }
-
-// Stats implements Store.
-func (f *Fault) Stats() Stats { return f.inner.Stats() }
-
-// Close implements Store.
-func (f *Fault) Close() error { return f.inner.Close() }
 
 // putErr synthesises the injected write failure for op.
 func putErr(op string) error {
 	return fmt.Errorf("store: %s: %w", op, fault.ErrInjected)
-}
-
-// stallRead sleeps if StoreGetStall fires; bounded by ctx so a cancelled
-// caller is not held hostage by the injector.
-func (f *Fault) stallRead(ctx context.Context) {
-	if !f.inj.Fire(fault.StoreGetStall) {
-		return
-	}
-	select {
-	case <-time.After(f.inj.Stall()):
-	case <-ctx.Done():
-	}
-}
-
-// corrupt flips one injector-chosen byte of data (copied first — the inner
-// store may alias its own buffers) when StoreCorruptRead fires.
-func (f *Fault) corrupt(data []byte) []byte {
-	if len(data) == 0 || !f.inj.Fire(fault.StoreCorruptRead) {
-		return data
-	}
-	out := append([]byte(nil), data...)
-	out[f.inj.Intn(len(out))] ^= 0xff
-	return out
 }
 
 // PutSession implements SessionStore.
@@ -81,7 +42,7 @@ func (f *Fault) PutSession(ctx context.Context, id string, data []byte) error {
 	if f.inj.Fire(fault.StorePutFail) {
 		return putErr("put_session")
 	}
-	return f.inner.PutSession(ctx, id, data)
+	return f.Store.PutSession(ctx, id, data)
 }
 
 // PutSessionFenced implements SessionStore.
@@ -89,17 +50,7 @@ func (f *Fault) PutSessionFenced(ctx context.Context, id string, fc Fence, data 
 	if f.inj.Fire(fault.StorePutFail) {
 		return putErr("put_session_fenced")
 	}
-	return f.inner.PutSessionFenced(ctx, id, fc, data)
-}
-
-// GetSession implements SessionStore.
-func (f *Fault) GetSession(ctx context.Context, id string) ([]byte, error) {
-	f.stallRead(ctx)
-	data, err := f.inner.GetSession(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	return f.corrupt(data), nil
+	return f.Store.PutSessionFenced(ctx, id, fc, data)
 }
 
 // DeleteSession implements SessionStore.
@@ -107,13 +58,7 @@ func (f *Fault) DeleteSession(ctx context.Context, id string) error {
 	if f.inj.Fire(fault.StorePutFail) {
 		return putErr("delete_session")
 	}
-	return f.inner.DeleteSession(ctx, id)
-}
-
-// ListSessions implements SessionStore.
-func (f *Fault) ListSessions(ctx context.Context) ([]string, error) {
-	f.stallRead(ctx)
-	return f.inner.ListSessions(ctx)
+	return f.Store.DeleteSession(ctx, id)
 }
 
 // PutBlob implements CheckpointStore.
@@ -121,30 +66,7 @@ func (f *Fault) PutBlob(ctx context.Context, data []byte) (Digest, bool, error) 
 	if f.inj.Fire(fault.StorePutFail) {
 		return "", false, putErr("put_blob")
 	}
-	return f.inner.PutBlob(ctx, data)
-}
-
-// GetBlob implements CheckpointStore. A corrupted read is re-verified
-// against the digest here so the wrapper honours GetBlob's contract
-// (mismatch → ErrCorrupt) instead of handing poisoned bytes to callers
-// that trust the digest.
-func (f *Fault) GetBlob(ctx context.Context, d Digest) ([]byte, error) {
-	f.stallRead(ctx)
-	data, err := f.inner.GetBlob(ctx, d)
-	if err != nil {
-		return nil, err
-	}
-	data = f.corrupt(data)
-	if DigestOf(data) != d {
-		return nil, fmt.Errorf("store: blob %s: %w", d, ErrCorrupt)
-	}
-	return data, nil
-}
-
-// HasBlob implements CheckpointStore.
-func (f *Fault) HasBlob(ctx context.Context, d Digest) (bool, error) {
-	f.stallRead(ctx)
-	return f.inner.HasBlob(ctx, d)
+	return f.Store.PutBlob(ctx, data)
 }
 
 // PutCheckpoint implements CheckpointStore.
@@ -152,13 +74,7 @@ func (f *Fault) PutCheckpoint(ctx context.Context, ck Checkpoint) error {
 	if f.inj.Fire(fault.StorePutFail) {
 		return putErr("put_checkpoint")
 	}
-	return f.inner.PutCheckpoint(ctx, ck)
-}
-
-// GetCheckpoint implements CheckpointStore.
-func (f *Fault) GetCheckpoint(ctx context.Context, key string) (Checkpoint, error) {
-	f.stallRead(ctx)
-	return f.inner.GetCheckpoint(ctx, key)
+	return f.Store.PutCheckpoint(ctx, ck)
 }
 
 // DeleteCheckpoint implements CheckpointStore.
@@ -166,50 +82,13 @@ func (f *Fault) DeleteCheckpoint(ctx context.Context, key string) error {
 	if f.inj.Fire(fault.StorePutFail) {
 		return putErr("delete_checkpoint")
 	}
-	return f.inner.DeleteCheckpoint(ctx, key)
+	return f.Store.DeleteCheckpoint(ctx, key)
 }
 
-// Lock implements LockSource. An armed StoreLeaseLost point marks the
-// granted lease doomed: its next Refresh or Release reports ErrLeaseLost,
-// the same shape a real expiry-takeover produces.
+// Lock implements LockSource.
 func (f *Fault) Lock(ctx context.Context, key, owner string, ttl time.Duration) (Lease, error) {
 	if f.inj.Fire(fault.StorePutFail) {
 		return nil, putErr("lock")
 	}
-	ls, err := f.inner.Lock(ctx, key, owner, ttl)
-	if err != nil {
-		return nil, err
-	}
-	if f.inj.Fire(fault.StoreLeaseLost) {
-		return &doomedLease{Lease: ls}, nil
-	}
-	return ls, nil
-}
-
-// doomedLease simulates a lease lost to expiry-takeover: the holder's
-// Refresh and Release fail with ErrLeaseLost. The inner lease is released
-// on first use so the key does not stay wedged for the full TTL.
-type doomedLease struct {
-	Lease
-	mu       sync.Mutex
-	released bool
-}
-
-func (l *doomedLease) Refresh(ctx context.Context, ttl time.Duration) error {
-	l.drop()
-	return ErrLeaseLost
-}
-
-func (l *doomedLease) Release() error {
-	l.drop()
-	return ErrLeaseLost
-}
-
-func (l *doomedLease) drop() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.released {
-		l.released = true
-		_ = l.Lease.Release()
-	}
+	return f.Store.Lock(ctx, key, owner, ttl)
 }

@@ -47,106 +47,14 @@ func TestFaultPutFail(t *testing.T) {
 	if _, err := fs.Lock(ctx, "k", "me", time.Second); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("Lock err = %v, want ErrInjected", err)
 	}
-	// Writes must all classify as transient: the retry decorator and the
-	// write-behind queue both key off this.
-	if !store.IsTransient(putSessionErr(fs)) {
-		t.Fatal("injected put failure classified permanent")
+	// Write-behind queues a failed persist for replay on any error but
+	// ErrFenced; serving persists only through the fenced put.
+	if err := fs.PutSessionFenced(ctx, "s1", store.Fence{Epoch: 1}, []byte("x")); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("PutSessionFenced err = %v, want ErrInjected", err)
 	}
 	// Disarm: the same wrapper serves normally again.
 	inj.Enable(fault.StorePutFail, 0)
 	if err := fs.PutSession(ctx, "s1", []byte("x")); err != nil {
 		t.Fatalf("PutSession after disarm: %v", err)
-	}
-}
-
-func putSessionErr(s store.Store) error {
-	return s.PutSession(context.Background(), "probe", []byte("p"))
-}
-
-func TestFaultGetStall(t *testing.T) {
-	inj := fault.New(7).SetStall(50 * time.Millisecond)
-	inj.Enable(fault.StoreGetStall, 1)
-	fs := store.WithFault(store.NewMem(), inj)
-	ctx := context.Background()
-	if err := fs.PutSession(ctx, "s1", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, err := fs.GetSession(ctx, "s1"); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 50*time.Millisecond {
-		t.Fatalf("GetSession returned in %v, want ≥ stall", d)
-	}
-	// A cancelled context bounds the stall.
-	cctx, cancel := context.WithCancel(ctx)
-	cancel()
-	start = time.Now()
-	_, _ = fs.GetSession(cctx, "s1")
-	if d := time.Since(start); d > 25*time.Millisecond {
-		t.Fatalf("cancelled GetSession stalled %v", d)
-	}
-}
-
-func TestFaultCorruptRead(t *testing.T) {
-	inj := fault.New(3)
-	inj.Enable(fault.StoreCorruptRead, 1)
-	fs := store.WithFault(store.NewMem(), inj)
-	ctx := context.Background()
-
-	want := []byte("payload-bytes")
-	if err := fs.PutSession(ctx, "s1", want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.GetSession(ctx, "s1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) == string(want) {
-		t.Fatal("corrupt read returned pristine bytes")
-	}
-	// Blob reads re-verify the digest, so corruption surfaces as ErrCorrupt
-	// rather than silently poisoned weights.
-	inj.Enable(fault.StoreCorruptRead, 0)
-	d, _, err := fs.PutBlob(ctx, []byte("blob-bytes"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj.Enable(fault.StoreCorruptRead, 1)
-	if _, err := fs.GetBlob(ctx, d); !errors.Is(err, store.ErrCorrupt) {
-		t.Fatalf("GetBlob err = %v, want ErrCorrupt", err)
-	}
-	// The backing store is untouched: disarm and read back clean.
-	inj.Enable(fault.StoreCorruptRead, 0)
-	if got, err := fs.GetSession(ctx, "s1"); err != nil || string(got) != string(want) {
-		t.Fatalf("pristine read after disarm: %q, %v", got, err)
-	}
-}
-
-func TestFaultLeaseLost(t *testing.T) {
-	inj := fault.New(5)
-	inj.Enable(fault.StoreLeaseLost, 1)
-	fs := store.WithFault(store.NewMem(), inj)
-	ctx := context.Background()
-
-	ls, err := fs.Lock(ctx, "ft:s1", "me", time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ls.Refresh(ctx, time.Minute); !errors.Is(err, store.ErrLeaseLost) {
-		t.Fatalf("Refresh err = %v, want ErrLeaseLost", err)
-	}
-	if err := ls.Release(); !errors.Is(err, store.ErrLeaseLost) {
-		t.Fatalf("Release err = %v, want ErrLeaseLost", err)
-	}
-	// The doomed lease released the inner lock, so the key is free for the
-	// next taker rather than wedged until TTL expiry.
-	inj.Enable(fault.StoreLeaseLost, 0)
-	ls2, err := fs.Lock(ctx, "ft:s1", "other", time.Minute)
-	if err != nil {
-		t.Fatalf("re-lock after doomed lease: %v", err)
-	}
-	if err := ls2.Release(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -48,7 +48,7 @@ type File struct {
 	// for the deployment CI exercises because only one replica owns a
 	// session per epoch.
 	fenceMu [64]sync.Mutex
-	// leaseMu serializes Lock, Refresh and Release on this handle. The
+	// leaseMu serializes Lock and Release on this handle. The
 	// filesystem arbitrates between processes; within one, the mutex makes
 	// a release happen-before the next holder's acquire, which link and
 	// unlink alone do not establish in the Go memory model.
@@ -353,21 +353,13 @@ func (f *File) GetBlob(ctx context.Context, d Digest) (data []byte, err error) {
 	return data, nil
 }
 
-// HasBlob implements CheckpointStore.
-func (f *File) HasBlob(ctx context.Context, d Digest) (ok bool, err error) {
-	start := time.Now()
-	defer func() { instrument("file", "has_blob", start, err) }()
-	if err = f.guard(ctx); err != nil {
-		return false, err
-	}
-	_, err = os.Stat(f.blobPath(d))
+// hasBlob reports whether the blob at d exists without reading it.
+func (f *File) hasBlob(d Digest) (bool, error) {
+	_, err := os.Stat(f.blobPath(d))
 	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil
 	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
+	return err == nil, err
 }
 
 // PutCheckpoint implements CheckpointStore.
@@ -378,7 +370,7 @@ func (f *File) PutCheckpoint(ctx context.Context, ck Checkpoint) (err error) {
 		return err
 	}
 	for _, d := range []Digest{ck.Base, ck.Fine} {
-		ok, herr := f.HasBlob(ctx, d)
+		ok, herr := f.hasBlob(d)
 		if herr != nil {
 			return herr
 		}
@@ -440,12 +432,8 @@ func (lr lockRecord) expired(now time.Time) bool {
 type fileLease struct {
 	f     *File
 	key   string
-	owner string
 	token string
 }
-
-func (l *fileLease) Key() string   { return l.key }
-func (l *fileLease) Owner() string { return l.owner }
 
 func newToken() string {
 	var b [12]byte
@@ -481,7 +469,7 @@ func (f *File) Lock(ctx context.Context, key, owner string, ttl time.Duration) (
 
 	err = placeTemp(path, writeBytes(body), os.Link)
 	if err == nil {
-		return &fileLease{f: f, key: key, owner: owner, token: rec.Token}, nil
+		return &fileLease{f: f, key: key, token: rec.Token}, nil
 	}
 	if !errors.Is(err, fs.ErrExist) {
 		return nil, err
@@ -506,7 +494,7 @@ func (f *File) Lock(ctx context.Context, key, owner string, ttl time.Duration) (
 	if rerr != nil || got.Token != rec.Token {
 		return nil, ErrLocked
 	}
-	return &fileLease{f: f, key: key, owner: owner, token: rec.Token}, nil
+	return &fileLease{f: f, key: key, token: rec.Token}, nil
 }
 
 // readLock decodes a lock file. A record that is not valid JSON is
@@ -523,32 +511,6 @@ func readLock(path string) (lockRecord, error) {
 		return lockRecord{}, fmt.Errorf("%w: lock %s: %w", ErrCorrupt, path, err)
 	}
 	return rec, nil
-}
-
-// Refresh implements Lease.
-func (l *fileLease) Refresh(ctx context.Context, ttl time.Duration) error {
-	if err := checkCtx(ctx); err != nil {
-		return err
-	}
-	l.f.leaseMu.Lock()
-	defer l.f.leaseMu.Unlock()
-	path := l.f.lockPath(l.key)
-	cur, err := readLock(path)
-	if err != nil || cur.Token != l.token {
-		return ErrLeaseLost
-	}
-	cur.Deadline = time.Now().Add(ttl).UnixMicro()
-	body, _ := json.Marshal(cur)
-	if err := writeAtomic(path, writeBytes(body)); err != nil {
-		return err
-	}
-	// Same write-then-verify as takeover: a racing takeover of our
-	// expired lease could interleave with the rename.
-	got, err := readLock(path)
-	if err != nil || got.Token != l.token {
-		return ErrLeaseLost
-	}
-	return nil
 }
 
 // Release implements Lease.

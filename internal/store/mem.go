@@ -166,19 +166,6 @@ func (m *Mem) GetBlob(ctx context.Context, d Digest) (data []byte, err error) {
 	return append([]byte(nil), b...), nil
 }
 
-// HasBlob implements CheckpointStore.
-func (m *Mem) HasBlob(ctx context.Context, d Digest) (ok bool, err error) {
-	start := time.Now()
-	defer func() { instrument("mem", "has_blob", start, err) }()
-	if err = m.guard(ctx); err != nil {
-		return false, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok = m.blobs[d]
-	return ok, nil
-}
-
 // PutCheckpoint implements CheckpointStore.
 func (m *Mem) PutCheckpoint(ctx context.Context, ck Checkpoint) (err error) {
 	start := time.Now()
@@ -236,14 +223,10 @@ type memLock struct {
 
 // memLease implements Lease over a Mem store.
 type memLease struct {
-	m     *Mem
-	key   string
-	owner string
-	gen   int64
+	m   *Mem
+	key string
+	gen int64
 }
-
-func (l *memLease) Key() string   { return l.key }
-func (l *memLease) Owner() string { return l.owner }
 
 // Lock implements LockSource.
 func (m *Mem) Lock(ctx context.Context, key, owner string, ttl time.Duration) (ls Lease, err error) {
@@ -263,22 +246,7 @@ func (m *Mem) Lock(ctx context.Context, key, owner string, ttl time.Duration) (l
 		gen = cur.gen + 1 // takeover of an expired lease bumps generation
 	}
 	m.locks[key] = &memLock{owner: owner, gen: gen, deadline: now.Add(ttl)}
-	return &memLease{m: m, key: key, owner: owner, gen: gen}, nil
-}
-
-// Refresh implements Lease.
-func (l *memLease) Refresh(ctx context.Context, ttl time.Duration) error {
-	if err := checkCtx(ctx); err != nil {
-		return err
-	}
-	l.m.mu.Lock()
-	defer l.m.mu.Unlock()
-	cur, ok := l.m.locks[l.key]
-	if !ok || cur.gen != l.gen {
-		return ErrLeaseLost
-	}
-	cur.deadline = time.Now().Add(ttl)
-	return nil
+	return &memLease{m: m, key: key, gen: gen}, nil
 }
 
 // Release implements Lease.

@@ -46,8 +46,8 @@ var (
 	ErrNotFound = errors.New("store: not found")
 	// ErrLocked reports a lease already held by another owner.
 	ErrLocked = errors.New("store: lease held")
-	// ErrLeaseLost reports a Refresh/Release on a lease that expired and
-	// was taken over (or released) out from under the holder.
+	// ErrLeaseLost reports a Release of a lease that expired and was
+	// taken over (or released) out from under the holder.
 	ErrLeaseLost = errors.New("store: lease lost")
 	// ErrCorrupt reports stored bytes failing their integrity check
 	// (digest mismatch, bad framing) — surfaced, never silently dropped.
@@ -153,8 +153,6 @@ type CheckpointStore interface {
 	// GetBlob returns the bytes at d, verifying them against the digest.
 	// Missing blobs return ErrNotFound; mismatches return ErrCorrupt.
 	GetBlob(ctx context.Context, d Digest) ([]byte, error)
-	// HasBlob reports whether d exists without reading its bytes.
-	HasBlob(ctx context.Context, d Digest) (bool, error)
 	// PutCheckpoint stores ck's manifest under ck.Key, replacing any
 	// prior manifest. The referenced blobs must already exist.
 	PutCheckpoint(ctx context.Context, ck Checkpoint) error
@@ -165,17 +163,12 @@ type CheckpointStore interface {
 	DeleteCheckpoint(ctx context.Context, key string) error
 }
 
-// Lease is a held TTL lock. The holder must Release when done and may
-// Refresh to extend; both return ErrLeaseLost if the lease expired and
-// another owner took it over in the meantime.
+// Lease is a held TTL lock. The holder must Release when done; the TTL
+// is fixed at Lock, so a holder must finish well inside it.
 type Lease interface {
-	// Key returns the locked key.
-	Key() string
-	// Owner returns the holder identity passed to Lock.
-	Owner() string
-	// Refresh extends the lease by ttl from now.
-	Refresh(ctx context.Context, ttl time.Duration) error
-	// Release drops the lease so other owners can take it.
+	// Release drops the lease so other owners can take it. It returns
+	// ErrLeaseLost if the lease expired and another owner took it over
+	// in the meantime.
 	Release() error
 }
 
